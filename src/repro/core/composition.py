@@ -410,33 +410,46 @@ class CompositionChain:
         depth.  The underlying dag is shared, only the block order (and
         hence the certificate and the Theorem 2.1 order) changes.
         """
-        profiles = [
-            optimal_nonsink_profile(rec.block, rec.schedule)
+        # blocks share few distinct profiles: ▷ is decided once per
+        # ordered pair of them, and "priority over every other
+        # remaining block" is tested against the profiles remaining
+        distinct: dict[tuple[int, ...], int] = {}
+        kind = [
+            distinct.setdefault(
+                tuple(optimal_nonsink_profile(rec.block, rec.schedule)),
+                len(distinct),
+            )
             for rec in self.blocks
         ]
+        profiles = list(distinct)
+        beats: dict[tuple[int, int], bool] = {}
+
+        def dominates(a: int, b: int) -> bool:
+            if (a, b) not in beats:
+                beats[a, b] = profiles_have_priority(profiles[a],
+                                                     profiles[b])
+            return beats[a, b]
+
+        left = [kind.count(p) for p in range(len(profiles))]
         deps = self.block_dependencies()
-        n = len(self.blocks)
-        remaining = set(range(n))
+        remaining = set(range(len(self.blocks)))
         placed: set[int] = set()
         order: list[int] = []
         while remaining:
             ready = sorted(
                 k for k in remaining if deps[k] <= placed
             )
-            pick = None
-            for k in ready:
-                if all(
-                    profiles_have_priority(profiles[k], profiles[j])
-                    for j in remaining
-                    if j != k
-                ):
-                    pick = k
-                    break
-            if pick is None:
-                pick = ready[0]
+            live = [p for p, c in enumerate(left) if c]
+            pick = next(
+                (k for k in ready
+                 if all(dominates(kind[k], p) for p in live
+                        if p != kind[k] or left[p] > 1)),
+                ready[0],
+            )
             order.append(pick)
             placed.add(pick)
             remaining.discard(pick)
+            left[kind[pick]] -= 1
         clone = object.__new__(CompositionChain)
         clone.name = self.name
         clone.dag = self.dag

@@ -52,7 +52,7 @@ from ..core.dag import ComputationDag, Node
 from ..exceptions import FaultPlanError, ServerPolicyError, SimulationError
 from ..obs import global_registry, global_tracer, span
 from ..obs.context import current_request_id
-from .heuristics import Policy
+from .heuristics import Policy, _heights
 from .server import ClientSpec, SimulationResult, TraceRecord, _record_quality
 
 __all__ = [
@@ -642,11 +642,7 @@ class _FaultEngine:
     def _critical_set(self) -> set[Node]:
         """The top ``critical_fraction`` of tasks by height (longest
         path to a sink), the replication targets."""
-        height: dict[Node, int] = {}
-        for v in reversed(self.dag.topological_order()):
-            height[v] = 1 + max(
-                (height[c] for c in self.dag.children(v)), default=-1
-            )
+        height = _heights(self.dag)
         index = {v: i for i, v in enumerate(self.dag.nodes)}
         ranked = sorted(
             self.dag.nodes, key=lambda v: (-height[v], index[v])
@@ -699,17 +695,19 @@ class _FaultEngine:
             self._push(now + self.sp.speculate_factor * nominal,
                        "speculate", aid)
 
-    def _pool(self, cid: int, now: float) -> list[Node]:
-        """The allocatable tasks the machine will place on ``cid``
-        (the allocatable list itself when no machine interposes, so
+    def _pool(self, now: float) -> list[Node]:
+        """The allocatable tasks the machine releases at ``now`` (the
+        allocatable list itself when no machine holds tasks back, so
         the pre-machine selection sequence stays byte-exact)."""
         if self.machine is None:
             return self.allocatable
-        return [t for t in self.allocatable
-                if self.machine.placeable(t, cid, now)]
+        return self.machine.ready(self.allocatable, now)
 
-    def _allocate_next(self, cid: int, now: float) -> None:
-        task = self.policy.select(self._pool(cid, now))
+    def _accepts(self, cid: int, now: float) -> bool:
+        return self.machine is None or self.machine.accepts(cid, now)
+
+    def _grant(self, cid: int, pool: list[Node], now: float) -> None:
+        task = self.policy.select(pool)
         self.allocatable.remove(task)
         self._launch(cid, task, now)
 
@@ -724,8 +722,9 @@ class _FaultEngine:
         if self.stalled_until.get(cid, 0.0) > now:
             return  # a wake event will re-request
         if self.allocatable:
-            if self._pool(cid, now):
-                self._allocate_next(cid, now)
+            pool = self._pool(now) if self._accepts(cid, now) else None
+            if pool:
+                self._grant(cid, pool, now)
                 return
             # work exists but the machine refuses to place it here
             # (barrier wait, memory-full client): idle without a
@@ -740,21 +739,21 @@ class _FaultEngine:
         self.idle.append(cid)
         self.idle_since[cid] = now
 
-    def _take_idle(self, now: float) -> int:
-        cid = self.idle.pop(0)
-        self.idle_time += now - self.idle_since.pop(cid)
-        return cid
-
-    def _take_idle_for(self, task: Node, now: float) -> int | None:
-        """The first idle client the machine lets run ``task``; the
-        head of the queue when no machine interposes."""
-        if self.machine is None:
-            return self._take_idle(now)
+    def _take_idle(self, now: float) -> int | None:
+        """Pop the first idle client the machine accepts work on (the
+        head of the queue when no machine interposes); ``None`` when
+        it accepts none."""
         for i, cid in enumerate(self.idle):
-            if self.machine.placeable(task, cid, now):
-                self.idle.pop(i)
+            if self._accepts(cid, now):
+                del self.idle[i]
                 self.idle_time += now - self.idle_since.pop(cid)
                 return cid
+        return None
+
+    def _take_idle_for(self, task: Node, now: float) -> int | None:
+        """The first idle client the machine lets run ``task``."""
+        if self.machine is None or self.machine.released(task, now):
+            return self._take_idle(now)
         return None
 
     def _dispatch_idle(self, now: float) -> None:
@@ -762,19 +761,11 @@ class _FaultEngine:
         speculative re-executions, then eager replicas of critical
         in-flight tasks."""
         while self.idle and self.allocatable:
-            if self.machine is None:
-                self._allocate_next(self._take_idle(now), now)
-                continue
-            picked = None
-            for i, cid in enumerate(self.idle):
-                if self._pool(cid, now):
-                    picked = i
-                    break
-            if picked is None:
+            pool = self._pool(now)
+            cid = self._take_idle(now) if pool else None
+            if cid is None:
                 break
-            cid = self.idle.pop(picked)
-            self.idle_time += now - self.idle_since.pop(cid)
-            self._allocate_next(cid, now)
+            self._grant(cid, pool, now)
         while self.idle and self.want_spec:
             task = self.want_spec.pop(0)
             if task in self.done or not self.in_flight.get(task):

@@ -35,6 +35,7 @@ __all__ = [
     "FifoPolicy",
     "LifoPolicy",
     "RandomPolicy",
+    "KeyedPolicy",
     "MaxOutDegreePolicy",
     "CriticalPathPolicy",
     "PackingPolicy",
@@ -87,39 +88,51 @@ class RandomPolicy(Policy):
         return eligible[self._rng.randrange(len(eligible))]
 
 
-class MaxOutDegreePolicy(Policy):
+class KeyedPolicy(Policy):
+    """A static priority: the eligible task with the largest key wins.
+    :meth:`attach` tabulates :meth:`keys` once, with the node index as
+    the last component so earlier nodes win ties."""
+
+    def attach(self, dag: ComputationDag) -> None:
+        idx = {v: i for i, v in enumerate(dag.nodes)}
+        self._key = {v: k + (-idx[v],) for v, k in self.keys(dag).items()}
+
+    def keys(self, dag: ComputationDag) -> dict[Node, tuple]:
+        raise NotImplementedError
+
+    def select(self, eligible: Sequence[Node]) -> Node:
+        return max(eligible, key=self._key.__getitem__)
+
+
+def _heights(dag: ComputationDag) -> dict[Node, int]:
+    """Longest path (in arcs) from each node to a sink."""
+    height: dict[Node, int] = {}
+    for v in reversed(dag.topological_order()):
+        height[v] = 1 + max((height[c] for c in dag.children(v)),
+                            default=-1)
+    return height
+
+
+class MaxOutDegreePolicy(KeyedPolicy):
     """Most immediate children first (a natural greedy proxy for
     eligibility production)."""
 
     name = "MAXOUT"
 
-    def attach(self, dag: ComputationDag) -> None:
-        self._out = {v: dag.outdegree(v) for v in dag.nodes}
-        self._idx = {v: i for i, v in enumerate(dag.nodes)}
-
-    def select(self, eligible: Sequence[Node]) -> Node:
-        return max(eligible, key=lambda v: (self._out[v], -self._idx[v]))
+    def keys(self, dag):
+        return {v: (dag.outdegree(v),) for v in dag.nodes}
 
 
-class CriticalPathPolicy(Policy):
+class CriticalPathPolicy(KeyedPolicy):
     """Longest-path-to-sink first (classic HLF/list scheduling)."""
 
     name = "CRITPATH"
 
-    def attach(self, dag: ComputationDag) -> None:
-        height: dict[Node, int] = {}
-        for v in reversed(dag.topological_order()):
-            height[v] = 1 + max(
-                (height[c] for c in dag.children(v)), default=-1
-            )
-        self._height = height
-        self._idx = {v: i for i, v in enumerate(dag.nodes)}
-
-    def select(self, eligible: Sequence[Node]) -> Node:
-        return max(eligible, key=lambda v: (self._height[v], -self._idx[v]))
+    def keys(self, dag):
+        return {v: (h,) for v, h in _heights(dag).items()}
 
 
-class PackingPolicy(Policy):
+class PackingPolicy(KeyedPolicy):
     """Largest resource footprint first.
 
     The footprint of a task is its degree sum (inputs it must gather
@@ -129,17 +142,11 @@ class PackingPolicy(Policy):
 
     name = "PACKING"
 
-    def attach(self, dag: ComputationDag) -> None:
-        self._foot = {
-            v: dag.indegree(v) + dag.outdegree(v) for v in dag.nodes
-        }
-        self._idx = {v: i for i, v in enumerate(dag.nodes)}
-
-    def select(self, eligible: Sequence[Node]) -> Node:
-        return max(eligible, key=lambda v: (self._foot[v], -self._idx[v]))
+    def keys(self, dag):
+        return {v: (dag.indegree(v) + dag.outdegree(v),) for v in dag.nodes}
 
 
-class TroublesomePolicy(Policy):
+class TroublesomePolicy(KeyedPolicy):
     """Most descendants first (DAGPS "troublesome tasks first").
 
     A task's descendant count measures how much of the dag is gated
@@ -148,24 +155,12 @@ class TroublesomePolicy(Policy):
 
     name = "TROUBLESOME"
 
-    def attach(self, dag: ComputationDag) -> None:
-        height: dict[Node, int] = {}
-        for v in reversed(dag.topological_order()):
-            height[v] = 1 + max(
-                (height[c] for c in dag.children(v)), default=-1
-            )
-        self._desc = {v: len(dag.descendants(v)) for v in dag.nodes}
-        self._height = height
-        self._idx = {v: i for i, v in enumerate(dag.nodes)}
-
-    def select(self, eligible: Sequence[Node]) -> Node:
-        return max(
-            eligible,
-            key=lambda v: (self._desc[v], self._height[v], -self._idx[v]),
-        )
+    def keys(self, dag):
+        height = _heights(dag)
+        return {v: (len(dag.descendants(v)), height[v]) for v in dag.nodes}
 
 
-class SchedulePolicy(Policy):
+class SchedulePolicy(KeyedPolicy):
     """Follow a precomputed schedule as a priority list: allocate the
     eligible task that appears earliest in the schedule.
 
@@ -177,10 +172,11 @@ class SchedulePolicy(Policy):
 
     def __init__(self, schedule: Schedule, name: str = "IC-OPT") -> None:
         self.name = name
-        self._rank = {v: i for i, v in enumerate(schedule.order)}
+        # the schedule fixes the key, so it needs no dag to attach
+        self._key = {v: -i for i, v in enumerate(schedule.order)}
 
-    def select(self, eligible: Sequence[Node]) -> Node:
-        return min(eligible, key=lambda v: self._rank[v])
+    def attach(self, dag: ComputationDag) -> None:
+        pass
 
 
 #: zero-argument constructors for the baseline policies of [15]/[19]

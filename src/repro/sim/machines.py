@@ -124,6 +124,21 @@ class MachineModel:
     """
 
     kind = "ideal"
+    #: whether :meth:`released` is overridden; when not, the engines
+    #: skip the per-task filter and place from the allocatable list
+    _gates_tasks = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "placeable" in cls.__dict__:
+            raise TypeError(
+                f"{cls.__name__} defines placeable(task, cid, now), "
+                "which the engines no longer call; split the gate into "
+                "accepts(cid, now) (per client) and/or "
+                "released(task, now) (per task) — see "
+                "docs/API_MIGRATION.md"
+            )
+        cls._gates_tasks = cls.released is not MachineModel.released
 
     def __init__(self) -> None:
         self.stalls = 0
@@ -141,9 +156,26 @@ class MachineModel:
         division and communication add)."""
         return base
 
-    def placeable(self, task: Node, cid: int, now: float) -> bool:
-        """May ``task`` start on client ``cid`` at ``now``?"""
+    # -- placement hooks ----------------------------------------------
+    # A task may start on a client when the client ``accepts`` work and
+    # the task is ``released``.  The engines never ask per (task,
+    # client) pair: ``accepts`` once per client, ``released`` once per
+    # task (and only when a model overrides it).
+    def accepts(self, cid: int, now: float) -> bool:
+        """May client ``cid`` take a task at ``now``?"""
         return True
+
+    def released(self, task: Node, now: float) -> bool:
+        """May ``task`` start on any client at ``now``?"""
+        return True
+
+    def ready(self, allocatable: list[Node], now: float) -> list[Node]:
+        """The released allocatable tasks — ``allocatable`` itself when
+        the model never holds a task back, so selection sees the very
+        list the machine-less engines do."""
+        if not self._gates_tasks:
+            return allocatable
+        return [t for t in allocatable if self.released(t, now)]
 
     # -- state hooks --------------------------------------------------
     def on_start(self, task: Node, cid: int, now: float) -> None:
@@ -228,7 +260,7 @@ class BspMachine(MachineModel):
         self.barrier_cost = 0.0
         self.comm_volume = 0.0
 
-    def placeable(self, task, cid, now):
+    def released(self, task, now):
         release = self._release.get(self._level[task])
         return release is not None and release <= now
 
@@ -263,13 +295,12 @@ class MemcapMachine(MachineModel):
 
     A running attempt holds one slot; a completed task's output stays
     resident on its client until every child completes (sinks release
-    immediately).  ``placeable`` admits a task only where a slot is
-    free, so an ELIGIBLE task may be momentarily unplaceable
-    everywhere.  When that wedges the run (all clients full, nothing
-    in flight), the progress valve evicts the oldest resident output
-    on the fullest client at a cost of ``spill`` time units — the
-    server re-hosts it, modeling a paged transfer back over the
-    Internet.
+    immediately).  ``accepts`` admits work only where a slot is free,
+    so an ELIGIBLE task may be momentarily unplaceable everywhere.
+    When that wedges the run (all clients full, nothing in flight),
+    the progress valve evicts the oldest resident output on the
+    fullest client at a cost of ``spill`` time units — the server
+    re-hosts it, modeling a paged transfer back over the Internet.
     """
 
     kind = "memcap"
@@ -305,7 +336,7 @@ class MemcapMachine(MachineModel):
         if use > self.peak:
             self.peak = use
 
-    def placeable(self, task, cid, now):
+    def accepts(self, cid, now):
         return self._usage.get(cid, 0) < self.cap
 
     def on_start(self, task, cid, now):
@@ -632,8 +663,8 @@ def _simulate_machine(
     def try_allocate(cid: int, now: float) -> bool:
         if not allocatable:
             return False
-        ready = [t for t in allocatable
-                 if machine.placeable(t, cid, now)]
+        ready = (machine.ready(allocatable, now)
+                 if machine.accepts(cid, now) else None)
         if not ready:
             machine.note_stall()
             return False
@@ -692,21 +723,20 @@ def _simulate_machine(
                     pending_parents[child] -= 1
                     if pending_parents[child] == 0:
                         allocatable.append(child)
-            # wake idle clients the machine will serve; restart the
-            # scan after a success — each placement can change what is
-            # placeable elsewhere (memory freed, levels opened)
-            i = 0
-            while i < len(idle_clients) and allocatable:
-                wid = idle_clients[i]
-                ready = [t for t in allocatable
-                         if machine.placeable(t, wid, now)]
-                if ready:
-                    idle_clients.pop(i)
-                    idle_time += now - idle_since.pop(wid)
-                    start_task(wid, policy.select(ready), now)
-                    i = 0
-                else:
-                    i += 1
+            # wake idle clients the machine will serve, first accepting
+            # client first; re-ask after each grant — a placement can
+            # change what the machine admits (memory used, levels open)
+            while idle_clients and allocatable:
+                ready = machine.ready(allocatable, now)
+                if not ready:
+                    break
+                i = next((i for i, wid in enumerate(idle_clients)
+                          if machine.accepts(wid, now)), None)
+                if i is None:
+                    break
+                wid = idle_clients.pop(i)
+                idle_time += now - idle_since.pop(wid)
+                start_task(wid, policy.select(ready), now)
             if kind in ("done", "lost"):
                 # the finishing client requests again
                 if not try_allocate(cid, now):

@@ -2,7 +2,10 @@
 Theorem 2.1 scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.composition as composition
 from repro.blocks import (
     ROOT,
     SINK,
@@ -22,7 +25,10 @@ from repro.core import (
     linear_composition_schedule,
     sum_dags,
 )
+from repro.cli import FAMILY_HELP, build_family
+from repro.core.priority import optimal_nonsink_profile
 from repro.exceptions import CompositionError
+from repro.families.trees import out_tree_chain
 
 
 class TestSum:
@@ -294,3 +300,97 @@ class TestTheorem21Scheduler:
         # the composite sink
         assert s.order[0] == (0, ROOT)
         assert set(s.order[1:3]) == {(0, leaf(0)), (0, leaf(1))}
+
+
+# ----------------------------------------------------------------------
+# priority_reordered against the all-pairs greedy rule
+# ----------------------------------------------------------------------
+
+#: one size per catalogued family (``repro families``)
+FAMILY_SIZES = {
+    "butterfly": 5, "diamond": 6, "dlt": 8, "dlt-tree": 3, "in-mesh": 8,
+    "in-tree": 6, "matmul": None, "mesh": 10, "out-tree": 7, "paths": 4,
+    "prefix": 16, "sorting": 16,
+}
+
+
+def all_pairs_order(chain):
+    """The greedy rule of ``priority_reordered`` as first written: on
+    each pick, test the candidate against every other remaining block."""
+    profiles = [optimal_nonsink_profile(rec.block, rec.schedule)
+                for rec in chain.blocks]
+    deps = chain.block_dependencies()
+    remaining = set(range(len(chain.blocks)))
+    placed, order = set(), []
+    while remaining:
+        ready = sorted(k for k in remaining if deps[k] <= placed)
+        pick = next(
+            (k for k in ready
+             if all(composition.profiles_have_priority(profiles[k],
+                                                       profiles[j])
+                    for j in remaining if j != k)),
+            ready[0],
+        )
+        order.append(pick)
+        placed.add(pick)
+        remaining.discard(pick)
+    return [chain.blocks[k] for k in order]
+
+
+def assert_matches_oracle(chain, monkeypatch):
+    expected = all_pairs_order(chain)
+    calls = []
+    real = composition.profiles_have_priority
+    monkeypatch.setattr(composition, "profiles_have_priority",
+                        lambda a, b: calls.append(1) or real(a, b))
+    reordered = chain.priority_reordered()
+    monkeypatch.setattr(composition, "profiles_have_priority", real)
+    assert [id(rec) for rec in reordered.blocks] == \
+        [id(rec) for rec in expected]
+    d = len({tuple(optimal_nonsink_profile(rec.block, rec.schedule))
+             for rec in chain.blocks})
+    assert len(calls) <= d * d
+
+
+def test_block_without_self_priority_counts_against_its_twin(monkeypatch):
+    # A (profile [1, 3, 3]) has priority over B ([2, 2, 2, 2]) but not
+    # over itself, so with two copies of A remaining neither may jump
+    # ahead of B: the greedy rule falls back to block order.
+    a = ComputationDag(arcs=[(0, 1), (0, 3), (0, 4), (1, 2)], name="A")
+    b = ComputationDag(arcs=[(0, 2), (0, 4), (1, 2), (2, 3)], name="B")
+    ch = CompositionChain(b)
+    ch.compose_with(a, merge_pairs=[])
+    ch.compose_with(a, merge_pairs=[])
+    assert_matches_oracle(ch, monkeypatch)
+    assert [rec.block.name for rec in ch.priority_reordered().blocks] == \
+        ["B", "A", "A"]
+
+
+def test_family_sizes_cover_the_catalog():
+    assert set(FAMILY_SIZES) == set(FAMILY_HELP)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SIZES))
+def test_priority_reordered_matches_all_pairs_rule(family, monkeypatch):
+    assert_matches_oracle(build_family(family, FAMILY_SIZES[family]),
+                          monkeypatch)
+
+
+@st.composite
+def mixed_out_trees(draw):
+    """A random out-tree whose internal nodes mix arities 1-4."""
+    children, leaves, nxt = {}, [0], 1
+    for _ in range(draw(st.integers(1, 14))):
+        v = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        kids = list(range(nxt, nxt + draw(st.integers(1, 4))))
+        nxt += len(kids)
+        children[v] = kids
+        leaves.extend(kids)
+    return out_tree_chain(children, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=mixed_out_trees())
+def test_priority_reordered_matches_all_pairs_rule_on_mixed_trees(chain):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_oracle(chain, monkeypatch)

@@ -43,10 +43,12 @@ from repro.sim import (
     resolve_machine,
     simulate,
 )
+from repro.sim.heuristics import KeyedPolicy
 from repro.sim.machines import (
     BspMachine,
     HeteroMachine,
     IdealMachine,
+    MachineModel,
     MemcapMachine,
 )
 
@@ -331,6 +333,58 @@ class TestMemcap:
 
 
 # ----------------------------------------------------------------------
+# placement hooks: accepts (per client) and released (per task)
+# ----------------------------------------------------------------------
+
+
+class TestPlacementHooks:
+    def test_placeable_override_rejected_at_class_creation(self):
+        with pytest.raises(TypeError, match="accepts.*released"):
+            class Legacy(MachineModel):
+                def placeable(self, task, cid, now):
+                    return True
+
+    def test_ready_is_the_list_itself_without_a_task_gate(self):
+        tasks = [1, 2, 3]
+        for model in (IdealMachine(), MemcapMachine(), HeteroMachine()):
+            assert model.ready(tasks, 0.0) is tasks
+
+    def test_released_override_filters_tasks(self):
+        class OddOnly(MachineModel):
+            def released(self, task, now):
+                return task % 2 == 1
+
+        assert OddOnly().ready([1, 2, 3, 4], 0.0) == [1, 3]
+
+    def test_bsp_gates_tasks_memcap_gates_clients(self):
+        dag = chain_dag(3)
+        bsp = BspMachine()
+        bsp.attach(dag, 2, lambda _v: 1.0)
+        assert bsp.released(0, 0.0) and not bsp.released(1, 0.0)
+        mem = MemcapMachine(cap=1)
+        mem.attach(dag, 2, lambda _v: 1.0)
+        mem.on_start(0, 0, 0.0)
+        assert not mem.accepts(0, 0.0) and mem.accepts(1, 0.0)
+
+    def test_custom_client_gate_applies_in_both_engines(self):
+        class FirstClientOnly(MachineModel):
+            kind = "first-client-only"
+
+            def accepts(self, cid, now):
+                return cid == 0
+
+        dag = ComputationDag()
+        for i in range(6):
+            dag.add_arc("root", ("leaf", i))
+        for plan in (None, FaultPlan()):
+            res = simulate(dag, make_policy("FIFO"), 3, record_trace=True,
+                           fault_plan=plan, machine=FirstClientOnly())
+            assert res.completed == len(dag)
+            assert {rec.client_id for rec in res.trace} == {0}
+            assert res.makespan == pytest.approx(7.0)
+
+
+# ----------------------------------------------------------------------
 # the heterogeneous-duration machine
 # ----------------------------------------------------------------------
 
@@ -459,6 +513,20 @@ class TestPackingPolicies:
         pol = make_policy("PACKING")
         pol.attach(dag)
         assert pol.select([1, 0]) == 0  # degree 2 beats degree 1
+
+    def test_static_priorities_share_one_keyed_policy(self):
+        for name in ("MAXOUT", "CRITPATH", "PACKING", "TROUBLESOME"):
+            assert isinstance(make_policy(name), KeyedPolicy)
+        sched = schedule_dag(chain_dag(3)).schedule
+        assert isinstance(make_policy("IC-OPT", sched), KeyedPolicy)
+
+    def test_keyed_ties_go_to_the_earlier_node(self):
+        # three isolated nodes: every key component ties but the index
+        dag = ComputationDag(nodes=["a", "b", "c"])
+        for name in ("MAXOUT", "CRITPATH", "PACKING", "TROUBLESOME"):
+            pol = make_policy(name)
+            pol.attach(dag)
+            assert pol.select(["c", "b", "a"]) == "a"
 
     def test_run_on_machines(self):
         dag = butterfly_dag(3)
