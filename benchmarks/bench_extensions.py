@@ -213,15 +213,16 @@ def test_batched_vs_event_driven(benchmark):
     """E-X5 — the [20] trade-off: batched rounds are operationally
     simple but barrier-idle fast clients; the event-driven IC server
     exploits heterogeneity."""
+    from repro import api
     from repro.core import hu_batches
-    from repro.sim import ClientSpec, make_policy, simulate, simulate_batched
+    from repro.sim import ClientSpec, make_policy, simulate
 
     dag = mesh.out_mesh_dag(12)
     bs = hu_batches(dag, 6)
     clients = [ClientSpec(speed=s) for s in (0.5, 1, 1, 2, 2, 4)]
 
     def run():
-        return simulate_batched(dag, bs, clients, seed=0)
+        return api.simulate(dag, batches=bs, clients=clients, seed=0)
 
     batched = benchmark(run)
 
@@ -233,7 +234,7 @@ def test_batched_vs_event_driven(benchmark):
     ):
         d = chain.dag
         b = hu_batches(d, 6)
-        rb = simulate_batched(d, b, clients, seed=0)
+        rb = api.simulate(d, batches=b, clients=clients, seed=0)
         sched = schedule_dag(chain).schedule
         re = simulate(d, make_policy("IC-OPT", sched), clients, seed=0)
         rows.append(

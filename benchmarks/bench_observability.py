@@ -97,13 +97,11 @@ def _kernel_profile(dag, state_budget: int = BUDGET) -> list[int]:
         _bit_tables(dag)
     )
     n = nonsink_mask.bit_count()
-    profile = [init_eligible.bit_count()]
-    if n:
-        maxima, _states, _peak, _owned = _level_bfs(
-            children, parents_mask, nonsink_mask,
-            0, init_eligible, 0, n, state_budget, dag.name,
-        )
-        profile.extend(maxima)
+    maxima, _states, _peak, _complete = _level_bfs(
+        children, parents_mask, nonsink_mask, init_eligible, n,
+        state_budget, dag.name,
+    )
+    profile = [init_eligible.bit_count()] + maxima
     for t in range(n + 1, total + 1):
         profile.append(total - t)
     return profile

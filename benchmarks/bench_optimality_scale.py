@@ -6,15 +6,13 @@ searches of :mod:`repro.core.optimality` on the Section 5
 butterfly/FFT certification workload, which every figure benchmark
 funnels through.
 
-Four measurements per size (butterfly networks ``B_2`` and ``B_3`` —
+Three measurements per size (butterfly networks ``B_2`` and ``B_3`` —
 ``B_3`` is the largest exactly certifiable butterfly; ``B_4``'s
 nonsink ideal lattice exceeds 2·10⁷ states):
 
 * **legacy** — the pre-rewrite frozenset-based level BFS, kept here
   verbatim as the reference implementation and correctness oracle;
 * **sequential** — the bitmask engine (canonical frontier keys);
-* **parallel** — the same engine with ``parallel=True`` first-level
-  fan-out (informational on 1-core hosts);
 * **cached** — a repeat certification through
   :class:`repro.core.ProfileCache` (the O(1) common case).
 
@@ -124,17 +122,12 @@ def collect_record() -> dict:
             REPEATS,
             lambda g=dag: max_eligibility_profile(g, budget, stats=stats),
         )
-        t_par, p_par = _best_of(
-            REPEATS,
-            lambda g=dag: max_eligibility_profile(g, budget, parallel=True),
-        )
         cache = ProfileCache()
         cache.max_profile(dag, budget)  # warm
         t_cached, p_cached = _best_of(
             REPEATS, lambda g=dag: cache.max_profile(g, budget)
         )
         assert p_seq == p_legacy, f"B_{d}: sequential diverged from legacy"
-        assert p_par == p_legacy, f"B_{d}: parallel diverged from legacy"
         assert p_cached == p_legacy, f"B_{d}: cached diverged from legacy"
         sched = find_ic_optimal_schedule(dag, budget, max_profile=p_seq)
         assert sched is not None and list(sched.profile) == p_legacy
@@ -147,7 +140,6 @@ def collect_record() -> dict:
                 "frontier_peak": stats.frontier_peak,
                 "legacy_s": round(t_legacy, 6),
                 "sequential_s": round(t_seq, 6),
-                "parallel_s": round(t_par, 6),
                 "cached_s": round(t_cached, 6),
                 "nodes_per_sec": round(len(dag) / t_seq, 1),
                 "states_per_sec": round(stats.states_expanded / t_seq, 1),

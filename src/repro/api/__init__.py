@@ -5,7 +5,7 @@ convention: the target (a dag, a composition chain, or a pair of dags)
 is positional, every option is keyword-only, and every verb returns a
 frozen result dataclass (:mod:`repro.api.results`).  The HTTP service
 (:mod:`repro.service`) and the CLI call only this module; the
-underlying entry points (``core.schedule_dag``, ``sim.simulate*``,
+underlying entry points (``core.schedule_dag``, ``sim.simulate``,
 ``granularity.*``) remain importable but are no longer the public
 contract — see ``docs/API_MIGRATION.md`` for the mapping from legacy
 call forms.
@@ -50,6 +50,7 @@ Quick start::
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Callable, Mapping, Sequence
 
 from ..core.batched import (
@@ -143,6 +144,20 @@ def _as_dag(target) -> ComputationDag:
     return target.dag if isinstance(target, CompositionChain) else target
 
 
+def _ignore_search_pool(verb: str, parallel, workers) -> None:
+    """``parallel=``/``workers=`` are accepted for ``API_VERSION == 1``
+    and ignored: the exhaustive search is sequential.  Passing either
+    warns once per call."""
+    if parallel or workers is not None:
+        warnings.warn(
+            f"api.{verb}: parallel= and workers= are ignored (the "
+            "process-pool search was removed) and will be dropped in "
+            "the next API version — see docs/API_MIGRATION.md",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+
+
 def schedule(
     target,
     *,
@@ -181,21 +196,20 @@ def schedule(
         Ideal-state cap for the exhaustive search; exceeding it falls
         back (anytime under a ``budget``, else the stamped heuristic).
     parallel / workers:
-        Fan the exhaustive search over a process pool (same result,
-        faster arrival; see ``docs/PERFORMANCE.md``).
+        Deprecated and ignored; passing either emits a
+        :class:`DeprecationWarning` (see ``docs/API_MIGRATION.md``).
     cache:
         ``True`` (default) memoizes in the process-wide certification
         cache; a :class:`~repro.core.profile_cache.ProfileCache` uses
         a private one; ``False`` searches from scratch.
     """
+    _ignore_search_pool("schedule", parallel, workers)
     res = _schedule_dag(
         target,
         strategy=strategy,
         budget=budget,
         exhaustive_limit=exhaustive_limit,
         state_budget=state_budget,
-        parallel=parallel,
-        workers=workers,
         cache=cache,
     )
     return ScheduleResult(
@@ -232,31 +246,27 @@ def verify(
     *measured* — ``ic_optimal`` is True exactly when the schedule's
     profile meets the ceiling at every step, independent of the
     certificate (an ``"anytime"`` or ``"heuristic"`` schedule can
-    still verify clean).
+    still verify clean).  ``parallel``/``workers`` are deprecated and
+    ignored, as in :func:`schedule`.
     """
+    _ignore_search_pool("verify", parallel, workers)
     sched = schedule(
         target,
         strategy=strategy,
         budget=budget,
         exhaustive_limit=exhaustive_limit,
         state_budget=state_budget,
-        parallel=parallel,
-        workers=workers,
         cache=cache,
     )
     dag = sched.schedule.dag
     if cache is True:
         cache = global_profile_cache()
     if isinstance(cache, ProfileCache):
-        ceiling = cache.max_profile(
-            dag, state_budget, parallel=parallel, workers=workers
-        )
+        ceiling = cache.max_profile(dag, state_budget)
     else:
         from ..core.optimality import max_eligibility_profile
 
-        ceiling = max_eligibility_profile(
-            dag, state_budget, parallel=parallel, workers=workers
-        )
+        ceiling = max_eligibility_profile(dag, state_budget)
     rep = quality_report(sched.schedule, max_profile=ceiling)
     return VerifyResult(
         fingerprint=sched.fingerprint,
@@ -302,15 +312,14 @@ def simulate(
     * default (``policy="IC-OPT"``) — schedule the dag through the
       certification path (so repeated calls for the same structure
       reuse the cached search) and simulate under the resulting
-      priority order; this replaces ``sim.simulate_scheduled``;
+      priority order;
     * ``policy="FIFO" | "LIFO" | "RANDOM" | "MAXOUT" | "CRITPATH"`` —
       simulate under a baseline heuristic, no scheduling;
     * ``schedule_order=`` — simulate under a caller-supplied
       :class:`~repro.core.schedule.Schedule` (policy ``IC-OPT``
       semantics, no certification run);
     * ``batches=`` — the batched regimen of [20] (one batch per
-      period, a barrier per round); this replaces
-      ``sim.simulate_batched``.
+      period, a barrier per round).
 
     ``clients``, ``work``, ``seed``, ``comm_per_input``,
     ``record_trace``, ``server_policy``, and ``fault_plan`` pass
@@ -320,11 +329,13 @@ def simulate(
     (``"ideal"``, the default, is the free-communication model and
     leaves the run bit-for-bit identical to earlier releases); the
     remaining options tune the certification path of the default
-    regime.
+    regime (``parallel``/``workers`` are deprecated and ignored, as in
+    :func:`schedule`).
     """
+    _ignore_search_pool("simulate", parallel, workers)
     from ..exceptions import SimulationError
     from ..sim.heuristics import make_policy
-    from ..sim.server import _simulate_batched_impl, simulate as _simulate
+    from ..sim.server import _simulate_batched, simulate as _simulate
 
     spec = parse_machine(machine) if isinstance(machine, str) else machine
     model = None if spec.kind == "ideal" else spec
@@ -336,7 +347,7 @@ def simulate(
                 "the batched regimen supports only the ideal machine; "
                 f"got machine={str(spec)!r}"
             )
-        res = _simulate_batched_impl(
+        res = _simulate_batched(
             dag, batches, clients, work, seed, comm_per_input
         )
         return _wrap_simulation(fingerprint, res, None, None, machine=spec)
@@ -357,8 +368,6 @@ def simulate(
             budget=budget,
             exhaustive_limit=exhaustive_limit,
             state_budget=state_budget,
-            parallel=parallel,
-            workers=workers,
             cache=cache,
         )
         from ..obs.observatory import global_frame_store
@@ -436,7 +445,10 @@ def compare(
     certification path, unless ``include_ic_optimal=False`` — on
     identical clients, seeds, identical machine model (``machine=``,
     spec string or :class:`MachineSpec`), and (when given) an
-    identical chaos script, and tabulate the quality gap."""
+    identical chaos script, and tabulate the quality gap.
+    ``parallel``/``workers`` are deprecated and ignored, as in
+    :func:`schedule`."""
+    _ignore_search_pool("compare", parallel, workers)
     from ..sim.metrics import compare_policies
 
     spec = parse_machine(machine) if isinstance(machine, str) else machine
@@ -450,8 +462,6 @@ def compare(
             budget=budget,
             exhaustive_limit=exhaustive_limit,
             state_budget=state_budget,
-            parallel=parallel,
-            workers=workers,
             cache=cache,
         )
         certificate = scheduled.certificate

@@ -6,17 +6,16 @@ library (exhaustive search, certification cache, scheduler front end,
 sim server) and exposed through the CLI (``repro stats``,
 ``--metrics``, ``--trace``, ``repro serve-metrics``, ``repro
 watch``).  See ``docs/OBSERVABILITY.md`` for the metric catalog, the
-trace schema, the cross-process merge semantics, the HTTP endpoints,
-and the measured overhead.
+trace schema, the HTTP endpoints, and the measured overhead.
 
 Five pieces:
 
 * :class:`MetricsRegistry` — thread-safe counters / gauges /
-  histograms with labels, snapshot/reset/merge, and JSON + Prometheus
+  histograms with labels, snapshot/reset, and JSON + Prometheus
   text exposition (:mod:`repro.obs.metrics`);
 * :class:`Tracer` — structured span/event records with contextvar
-  nesting, a bounded ring buffer, JSONL export, cross-process
-  adoption, and a no-op fast path when disabled
+  nesting, a bounded ring buffer, JSONL export, and a no-op fast
+  path when disabled
   (:mod:`repro.obs.tracing`);
 * :func:`span` / :func:`profiled` — the single instrumentation API
   the rest of the library uses (:mod:`repro.obs.instrument`);

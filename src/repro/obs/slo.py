@@ -140,7 +140,7 @@ def _sum_histogram(data: dict, wanted) -> Histogram | None:
             if not bounds:
                 continue
             out = Histogram(buckets=bounds)
-        out._merge_value(value, {})
+        out._merge_value(value)
     return out
 
 

@@ -189,47 +189,6 @@ class FaultPlan:
         return fault_plan_str(self)
 
 
-def _deprecated_parser(name: str, impl):
-    """A shim for the grammar helpers that moved to
-    :mod:`repro.api.specs`: same behavior, plus a
-    ``DeprecationWarning`` pointing at the shared parser."""
-
-    def shim(*args, **kwargs):
-        import warnings
-
-        warnings.warn(
-            f"repro.sim.faults.{name} moved to repro.api.specs as part "
-            "of the unified spec grammar; import it from there",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    shim.__name__ = name
-    shim.__doc__ = impl.__doc__
-    return shim
-
-
-def _specs_module():
-    from ..api import specs
-
-    return specs
-
-
-_parse_float = _deprecated_parser(
-    "_parse_float", lambda *a, **k: _specs_module()._parse_float(*a, **k)
-)
-_parse_int = _deprecated_parser(
-    "_parse_int", lambda *a, **k: _specs_module()._parse_int(*a, **k)
-)
-_parse_at = _deprecated_parser(
-    "_parse_at", lambda *a, **k: _specs_module()._parse_at(*a, **k)
-)
-_parse_x = _deprecated_parser(
-    "_parse_x", lambda *a, **k: _specs_module()._parse_x(*a, **k)
-)
-
-
 # ----------------------------------------------------------------------
 # canned scenarios
 # ----------------------------------------------------------------------

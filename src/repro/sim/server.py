@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -45,8 +44,6 @@ __all__ = [
     "SimulationResult",
     "TraceRecord",
     "simulate",
-    "simulate_batched",
-    "simulate_scheduled",
 ]
 
 
@@ -505,103 +502,7 @@ def _record_quality(reg, result: SimulationResult) -> None:
               labels).labels(result.policy).set(result.mean_headroom)
 
 
-def simulate_scheduled(
-    dag: ComputationDag,
-    clients: Sequence[ClientSpec] | int = 4,
-    work: Callable[[Node], float] | float = 1.0,
-    seed: int = 0,
-    comm_per_input: float = 0.0,
-    record_trace: bool = False,
-    *,
-    parallel: bool = False,
-    workers: int | None = None,
-    cache=True,
-):
-    """Deprecated alias of the schedule-then-simulate path; use
-    :func:`repro.api.simulate` (the default ``policy="IC-OPT"``
-    regime) instead — see ``docs/API_MIGRATION.md``.
-
-    Returns ``(SimulationResult, SchedulingResult)`` exactly as
-    before.
-    """
-    warnings.warn(
-        "sim.simulate_scheduled is deprecated; use repro.api.simulate "
-        "(default IC-OPT regime) — see docs/API_MIGRATION.md",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _simulate_scheduled_impl(
-        dag, clients, work, seed, comm_per_input, record_trace,
-        parallel=parallel, workers=workers, cache=cache,
-    )
-
-
-def _simulate_scheduled_impl(
-    dag: ComputationDag,
-    clients: Sequence[ClientSpec] | int = 4,
-    work: Callable[[Node], float] | float = 1.0,
-    seed: int = 0,
-    comm_per_input: float = 0.0,
-    record_trace: bool = False,
-    *,
-    parallel: bool = False,
-    workers: int | None = None,
-    cache=True,
-):
-    """Schedule ``dag`` (strongest certificate) and :func:`simulate` it
-    under the resulting priority order.
-
-    This is the server's steady-state serving path: the certification
-    goes through :func:`~repro.core.scheduler.schedule_dag` and hence
-    (by default) the process-wide
-    :func:`~repro.core.profile_cache.global_profile_cache`, so
-    repeated requests for the same dag structure — the common case for
-    a server replaying a workload family at fixed sizes — pay the
-    exhaustive ideal-lattice search exactly once.
-
-    Returns ``(SimulationResult, SchedulingResult)``.
-    """
-    from ..core.scheduler import schedule_dag
-    from .heuristics import make_policy
-
-    scheduling = schedule_dag(
-        dag, parallel=parallel, workers=workers, cache=cache
-    )
-    result = simulate(
-        dag,
-        make_policy("IC-OPT", scheduling.schedule),
-        clients,
-        work,
-        seed,
-        comm_per_input,
-        record_trace,
-    )
-    return result, scheduling
-
-
-def simulate_batched(
-    dag: ComputationDag,
-    batches,
-    clients: Sequence[ClientSpec] | int = 4,
-    work: Callable[[Node], float] | float = 1.0,
-    seed: int = 0,
-    comm_per_input: float = 0.0,
-) -> SimulationResult:
-    """Deprecated alias of the batched regimen; use
-    :func:`repro.api.simulate` with ``batches=`` instead — see
-    ``docs/API_MIGRATION.md``."""
-    warnings.warn(
-        "sim.simulate_batched is deprecated; use repro.api.simulate("
-        "..., batches=...) — see docs/API_MIGRATION.md",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _simulate_batched_impl(
-        dag, batches, clients, work, seed, comm_per_input
-    )
-
-
-def _simulate_batched_impl(
+def _simulate_batched(
     dag: ComputationDag,
     batches,
     clients: Sequence[ClientSpec] | int = 4,

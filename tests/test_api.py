@@ -1,13 +1,12 @@
-"""Tests for the stable ``repro.api`` v1 facade and the deprecation
-shims over the legacy entry points (see docs/API_MIGRATION.md):
+"""Tests for the stable ``repro.api`` v1 facade (see
+docs/API_MIGRATION.md):
 
 * every verb returns a frozen, picklable result dataclass with
   JSON-native headline fields;
-* the four ``simulate`` regimes agree with the legacy entry points
-  they replace, number for number;
-* the shims (``sim.simulate_scheduled``, ``sim.simulate_batched``,
-  positional tuning args of ``core.schedule_dag``) warn exactly once
-  per call and delegate with identical behavior.
+* the four ``simulate`` regimes agree with the lower-level entry
+  points they wrap, number for number;
+* the no-op ``parallel=``/``workers=`` options warn exactly once per
+  call and leave the result unchanged; default calls never warn.
 """
 
 import dataclasses
@@ -58,14 +57,14 @@ class TestFacadeVerbs:
         assert res.deficit == 0
 
     def test_simulate_default_regime_matches_legacy(self):
+        from repro.sim import make_policy, simulate
+
         dag = out_mesh_dag(4)
         res = api.simulate(dag, clients=3, seed=7)
-        with pytest.warns(DeprecationWarning):
-            from repro.sim import simulate_scheduled
-
-            legacy, scheduling = simulate_scheduled(
-                dag, clients=3, seed=7
-            )
+        scheduling = schedule_dag(dag)
+        legacy = simulate(
+            dag, make_policy("IC-OPT", scheduling.schedule), 3, seed=7
+        )
         assert res.makespan == legacy.makespan
         assert res.utilization == legacy.utilization
         assert res.certificate == scheduling.certificate.value
@@ -74,10 +73,9 @@ class TestFacadeVerbs:
         dag = out_mesh_dag(4)
         bs = hu_batches(dag, 3)
         res = api.simulate(dag, batches=bs, clients=3, seed=1)
-        with pytest.warns(DeprecationWarning):
-            from repro.sim import simulate_batched
+        from repro.sim.server import _simulate_batched
 
-            legacy = simulate_batched(dag, bs, clients=3, seed=1)
+        legacy = _simulate_batched(dag, bs, clients=3, seed=1)
         assert res.makespan == legacy.makespan
         assert res.policy == legacy.policy
         assert res.certificate is None
@@ -174,48 +172,47 @@ class TestResultContracts:
 
 
 class TestDeprecationShims:
-    def test_simulate_scheduled_warns_exactly_once(self):
-        from repro.sim import simulate_scheduled
+    #: each facade verb with arguments that make it cheap on a mesh
+    VERBS = (
+        ("schedule", {}),
+        ("verify", {}),
+        ("simulate", {"clients": 2}),
+        ("compare", {"clients": 2}),
+    )
 
-        with pytest.warns(DeprecationWarning) as rec:
-            simulate_scheduled(out_mesh_dag(3), clients=2)
-        assert len(rec) == 1
-        assert "repro.api.simulate" in str(rec[0].message)
-
-    def test_simulate_batched_warns_exactly_once(self):
-        from repro.sim import simulate_batched
-
+    @pytest.mark.parametrize("verb,kwargs", VERBS)
+    def test_search_pool_options_warn_once_and_change_nothing(
+            self, verb, kwargs):
+        fn = getattr(api, verb)
         dag = out_mesh_dag(3)
-        with pytest.warns(DeprecationWarning) as rec:
-            simulate_batched(dag, hu_batches(dag, 2), clients=2)
-        assert len(rec) == 1
-        assert "batches" in str(rec[0].message)
+        for knobs in ({"parallel": True, "workers": 2},
+                      {"parallel": True}, {"workers": 2}):
+            with pytest.warns(DeprecationWarning) as rec:
+                res = fn(dag, **knobs, **kwargs)
+            assert len(rec) == 1, knobs
+            assert "parallel" in str(rec[0].message)
+            assert res == fn(dag, **kwargs)
 
-    def test_schedule_dag_positional_warns_and_maps(self):
-        dag = out_mesh_dag(3)
-        with pytest.warns(DeprecationWarning) as rec:
-            legacy = schedule_dag(dag, 24, 500_000)
-        assert len(rec) == 1
-        modern = schedule_dag(dag, exhaustive_limit=24,
-                              state_budget=500_000)
-        assert legacy.certificate is modern.certificate
-        assert legacy.schedule.order == modern.schedule.order
+    @pytest.mark.parametrize("verb,kwargs", VERBS)
+    def test_search_pool_defaults_warn_never(self, verb, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            getattr(api, verb)(out_mesh_dag(3), parallel=False,
+                               workers=None, **kwargs)
 
-    def test_schedule_dag_positional_limit_respected(self):
-        # the mapped positional argument must actually take effect:
+    def test_schedule_dag_limit_respected(self):
         # limit 0 bars the exhaustive search, so an *unrecognized* dag
         # degrades to the heuristic
         from repro.blocks import block
 
         dag, _ = block("N", 8)
-        with pytest.warns(DeprecationWarning):
-            res = schedule_dag(dag, 0)
+        res = schedule_dag(dag, exhaustive_limit=0)
         assert res.certificate.value == "heuristic"
 
     def test_schedule_dag_too_many_positionals(self):
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(TypeError):
-            schedule_dag(out_mesh_dag(3), 24, 500_000, True)
+        # tuning options are keyword-only; the positional forms are gone
+        with pytest.raises(TypeError):
+            schedule_dag(out_mesh_dag(3), 24)
 
     def test_schedule_dag_keyword_form_warns_never(self):
         with warnings.catch_warnings():

@@ -205,14 +205,6 @@ class TestUnifiedSpecs:
         pol = ServerPolicy()
         assert ServerPolicy.parse(str(pol)) == pol
 
-    def test_legacy_helpers_warn(self):
-        from repro.sim import faults
-
-        with pytest.warns(DeprecationWarning, match="repro.api.specs"):
-            assert faults._parse_float("1.5", "x") == 1.5
-        with pytest.warns(DeprecationWarning):
-            assert faults._parse_int("3", "x") == 3
-
     def test_parse_errors_keep_uniform_messages(self):
         from repro.exceptions import FaultPlanError, ServerPolicyError
 

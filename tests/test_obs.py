@@ -104,29 +104,6 @@ class TestRegistryArithmetic:
         assert reg.value("a") == 0
         assert reg.counter("a") is c
 
-    def test_gauge_stamps_updated_at(self):
-        g = MetricsRegistry().gauge("depth")
-        assert g.updated_at == 0.0  # never written
-        g.set(3)
-        first = g.updated_at
-        assert first > 0
-        g.inc()
-        assert g.updated_at >= first
-        # set_max only stamps when the value actually changes
-        stamped = g.updated_at
-        g.set_max(1)
-        assert g.updated_at == stamped
-
-    def test_gauge_snapshot_carries_updated_at(self):
-        reg = MetricsRegistry()
-        reg.gauge("g").set(1.5)
-        snap = reg.snapshot()["g"]
-        assert snap["value"] == 1.5
-        assert snap["updated_at"] > 0
-        # counters stay timestamp-free
-        reg.counter("c").inc()
-        assert "updated_at" not in reg.snapshot()["c"]
-
 
 class TestLabeledMetrics:
     def test_children_are_independent(self):
@@ -208,18 +185,17 @@ class TestHistogram:
         assert o.quantile(1.0) == 2.0
 
     def test_merged_histogram_quantiles(self):
-        # quantiles over a merged snapshot reflect the combined
-        # distribution (the pool-worker merge path)
+        # quantiles over bucket-summed series reflect the combined
+        # distribution (the SLO engine's aggregation path)
+        from repro.obs.slo import _sum_histogram
+
         bounds = (10, 20, 30, 40)
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        ha = a.histogram("lat", buckets=bounds)
-        hb = b.histogram("lat", buckets=bounds)
+        reg = MetricsRegistry()
+        lat = reg.histogram("lat", labelnames=("route",), buckets=bounds)
         for _ in range(3):
-            ha.observe(5)
-            hb.observe(35)
-        a.merge(b.snapshot())
-        merged = a.histogram("lat", buckets=bounds)
+            lat.labels("a").observe(5)
+            lat.labels("b").observe(35)
+        merged = _sum_histogram(reg.snapshot()["lat"], ())
         assert merged.count == 6
         assert merged.sum == pytest.approx(120.0)
         assert merged.quantile(0.25) == pytest.approx(5.0)
@@ -511,13 +487,12 @@ class TestSimulationWiring:
         self._run()  # a second run: counter sums, gauges track latest
         assert registry.value("sim_runs_total", policy="IC-OPT") == 2
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_batched_sim_records_quality(self, registry):
+        from repro import api
         from repro.core.batched import level_batches
-        from repro.sim.server import simulate_batched
 
         chain = out_mesh_chain(3)
-        res = simulate_batched(chain.dag, level_batches(chain.dag))
+        res = api.simulate(chain.dag, batches=level_batches(chain.dag))
         assert registry.value("sim_runs_total", policy=res.policy) == 1
         assert registry.value(
             "sim_quality_makespan", policy=res.policy

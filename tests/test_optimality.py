@@ -3,6 +3,7 @@
 import pytest
 
 from repro.blocks import block
+from repro.blocks.catalog import BLOCK_KINDS
 from repro.core import (
     ComputationDag,
     Schedule,
@@ -194,3 +195,117 @@ class TestEnumerateOptimalOrders:
         g, _ = block("N", 3)
         orders = all_ic_optimal_nonsink_orders(g)
         assert orders == [(("src", 0), ("src", 1), ("src", 2))]
+
+
+# ---------------------------------------------------------------------
+# oracle: the ceiling M(t) by brute force, independent of the engine
+
+
+def reference_ceiling(dag) -> list[int]:
+    """``M(t)`` from first principles: enumerate every order ideal of
+    ``dag`` (sinks included, no nonsink reduction, plain frozensets)
+    and keep the largest eligible count seen at each size."""
+    nodes = list(dag.nodes)
+    parents = {v: set(dag.parents(v)) for v in nodes}
+    best: dict[int, int] = {}
+    level = {frozenset()}
+    while level:
+        nxt = set()
+        for ideal in level:
+            eligible = [v for v in nodes
+                        if v not in ideal and parents[v] <= ideal]
+            size = len(ideal)
+            best[size] = max(best.get(size, 0), len(eligible))
+            nxt.update(ideal | {v} for v in eligible)
+        level = nxt
+    return [best[t] for t in range(len(nodes) + 1)]
+
+
+def linear_extensions(dag):
+    """Every topological order of ``dag`` (brute force; tiny dags)."""
+    parents = {v: set(dag.parents(v)) for v in dag.nodes}
+
+    def extend(done, order):
+        if len(order) == len(parents):
+            yield list(order)
+            return
+        for v in dag.nodes:
+            if v not in done and parents[v] <= done:
+                yield from extend(done | {v}, order + [v])
+
+    yield from extend(frozenset(), [])
+
+
+#: every catalog block kind at a representative parameter (or two
+#: where the family is parameterized interestingly).
+CATALOG_CASES = [
+    ("V", None),
+    ("V", 3),
+    ("Λ", None),
+    ("Λ", 3),
+    ("W", 2),
+    ("W", 4),
+    ("M", 3),
+    ("N", 3),
+    ("N", 5),
+    ("C", 3),
+    ("C", 5),
+    ("B", None),
+    ("Q", 2),
+]
+
+
+def _family_dags():
+    """Each paper family at two sizes (kept small: the oracle
+    enumerates every ideal, sinks included)."""
+    from repro.families.butterfly_net import butterfly_dag
+    from repro.families.diamond import complete_diamond
+    from repro.families.mesh import out_mesh_dag
+    from repro.families.prefix import prefix_chain
+    from repro.families.trees import complete_out_tree
+
+    cases = []
+    for d in (1, 2):
+        cases.append((f"butterfly-{d}", butterfly_dag(d)))
+    for d in (3, 4):
+        cases.append((f"mesh-{d}", out_mesh_dag(d)))
+    for d in (2, 3):
+        cases.append((f"diamond-{d}", complete_diamond(d).dag))
+    for d in (2, 3):
+        cases.append((f"prefix-{d}", prefix_chain(d).dag))
+    for d in (2, 3):
+        cases.append((f"out-tree-{d}", complete_out_tree(d).dag))
+    return cases
+
+
+def _oracle_cases():
+    cases = [
+        (f"{kind}{param or ''}", block(kind, param)[0])
+        for kind, param in CATALOG_CASES
+    ]
+    return cases + _family_dags()
+
+
+def test_every_catalog_kind_covered():
+    # guard: CATALOG_CASES tracks the catalog registry
+    assert {k for k, _ in CATALOG_CASES} == set(BLOCK_KINDS)
+
+
+@pytest.mark.parametrize("label,dag", _oracle_cases())
+def test_profile_matches_oracle(label, dag):
+    assert max_eligibility_profile(dag) == reference_ceiling(dag), label
+
+
+@pytest.mark.parametrize("label,dag", _oracle_cases())
+def test_schedule_meets_oracle_ceiling(label, dag):
+    found = find_ic_optimal_schedule(dag)
+    assert found is not None, label
+    assert found.profile == reference_ceiling(dag), label
+
+
+def test_no_schedule_attains_oracle_ceiling():
+    g = non_ic_optimal_dag()
+    ceiling = reference_ceiling(g)
+    assert find_ic_optimal_schedule(g) is None
+    assert all(Schedule(g, order).profile != ceiling
+               for order in linear_extensions(g))
