@@ -199,9 +199,12 @@ def schedule(
         Deprecated and ignored; passing either emits a
         :class:`DeprecationWarning` (see ``docs/API_MIGRATION.md``).
     cache:
-        ``True`` (default) memoizes in the process-wide certification
-        cache; a :class:`~repro.core.profile_cache.ProfileCache` uses
-        a private one; ``False`` searches from scratch.
+        ``True`` (default) memoizes certification in the process-wide
+        :class:`~repro.core.profile_cache.ProfileCache`: the whole
+        certified result per dag (or per chain instance) and options,
+        plus the exhaustive searches' ceilings and schedules, so a
+        repeat only replays the stored order.  A ``ProfileCache``
+        uses a private memo; ``False`` certifies from scratch.
     """
     _ignore_search_pool("schedule", parallel, workers)
     res = _schedule_dag(

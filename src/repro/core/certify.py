@@ -44,6 +44,7 @@ differ).  What changes is the cost of producing it.
 from __future__ import annotations
 
 import json
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,6 +158,9 @@ class BlockCertificateLibrary:
     stored ceiling, so a stale or corrupted file degrades to a fresh
     search, never to a wrong certificate.
 
+    Entry operations and file writes hold one lock, so a library is
+    safe to share between threads; searches run outside it.
+
     Parameters
     ----------
     path:
@@ -173,6 +177,8 @@ class BlockCertificateLibrary:
         self.path = Path(path) if path is not None else None
         self.maxsize = maxsize
         self._entries: OrderedDict[str, dict] = OrderedDict()
+        # reentrant: _put writes the file through save() under it
+        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
@@ -186,8 +192,9 @@ class BlockCertificateLibrary:
     def clear(self) -> None:
         """Drop every entry and reset the counters (the backing file,
         if any, is left untouched until the next write-through)."""
-        self._entries.clear()
-        self.hits = self.misses = self.bypasses = 0
+        with self._lock:
+            self._entries.clear()
+            self.hits = self.misses = self.bypasses = 0
         _size_gauge().set(0)
 
     # -- persistence ---------------------------------------------------
@@ -208,7 +215,7 @@ class BlockCertificateLibrary:
                 data.get("version") != _LIBRARY_VERSION:
             _load_skip_counter().inc()
             return 0
-        loaded = 0
+        accepted: dict[str, dict] = {}
         for fp, entry in data.get("blocks", {}).items():
             if not isinstance(entry, dict):
                 skipped += 1
@@ -225,16 +232,17 @@ class BlockCertificateLibrary:
             ):
                 skipped += 1
                 continue
-            self._entries[str(fp)] = {
+            accepted[str(fp)] = {
                 "name": str(entry.get("name", "")),
                 "profile": profile,
                 "order": order,
             }
-            loaded += 1
         if skipped:
             _load_skip_counter().inc(skipped)
+        with self._lock:
+            self._entries.update(accepted)
         _size_gauge().set(len(self._entries))
-        return loaded
+        return len(accepted)
 
     def save(self) -> None:
         """Write every entry to :attr:`path` (power-loss-safe atomic
@@ -242,19 +250,21 @@ class BlockCertificateLibrary:
         :func:`repro.fsio.atomic_write_json`)."""
         if self.path is None:
             return
-        payload = {
-            "version": _LIBRARY_VERSION,
-            "blocks": dict(self._entries),
-        }
-        atomic_write_json(str(self.path), payload, indent=1)
+        with self._lock:
+            payload = {
+                "version": _LIBRARY_VERSION,
+                "blocks": dict(self._entries),
+            }
+            atomic_write_json(str(self.path), payload, indent=1)
 
     def _put(self, fingerprint: str, entry: dict) -> None:
-        self._entries[fingerprint] = entry
-        self._entries.move_to_end(fingerprint)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        _size_gauge().set(len(self._entries))
-        self.save()
+        with self._lock:
+            self._entries[fingerprint] = entry
+            self._entries.move_to_end(fingerprint)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+            _size_gauge().set(len(self._entries))
+            self.save()
 
     # ------------------------------------------------------------------
     def certify_block(
@@ -279,21 +289,26 @@ class BlockCertificateLibrary:
         """
         canonical = _canonical_nodes(block)
         if canonical is None:
-            self.bypasses += 1
+            with self._lock:
+                self.bypasses += 1
             _lookup_counter().labels("bypass").inc()
             return self._certify_direct(block, attached, state_budget)
         fp = block.fingerprint()
-        entry = self._entries.get(fp)
+        with self._lock:
+            entry = self._entries.get(fp)
         if entry is not None:
             rebuilt = self._from_entry(block, canonical, entry, attached)
             if rebuilt is not None:
-                self.hits += 1
-                self._entries.move_to_end(fp)
+                with self._lock:
+                    self.hits += 1
+                    if fp in self._entries:
+                        self._entries.move_to_end(fp)
                 _lookup_counter().labels("hit").inc()
                 return rebuilt
             # stored entry does not replay on this block (corrupt or
             # colliding file): recompute and overwrite.
-        self.misses += 1
+        with self._lock:
+            self.misses += 1
         _lookup_counter().labels("miss").inc()
         sched, source, profile = self._certify_with_profile(
             block, attached, state_budget
@@ -409,6 +424,13 @@ def certify(
       falling back to ``state_budget`` when ``None``);
     * ``"heuristic"`` — the greedy schedule, stamped as such.
 
+    With a cache (``cache=True`` or a
+    :class:`~repro.core.profile_cache.ProfileCache`) the whole result
+    is memoized per dag — or per chain instance — and options
+    (:meth:`~repro.core.profile_cache.ProfileCache.certificate`): a
+    repeat replays the stored order against ``target`` instead of
+    certifying again.  ``cache=False`` certifies from scratch.
+
     Every call increments
     ``search_strategy_total{strategy,certificate}``.
     """
@@ -424,11 +446,20 @@ def certify(
     )
     chain = target if isinstance(target, CompositionChain) else None
     dag = target.dag if chain is not None else target
-    with span("certify", dag=dag.name, strategy=strategy):
-        result = _dispatch(
+
+    def cold() -> SchedulingResult:
+        return _dispatch(
             strategy, chain, dag, budget, exhaustive_limit,
             state_budget, cache_, lib,
         )
+
+    with span("certify", dag=dag.name, strategy=strategy):
+        if cache_ is None:
+            result = cold()
+        else:
+            options = (strategy, budget, exhaustive_limit, state_budget,
+                       lib is not None)
+            result = cache_.certificate(target, options, cold)
     result.strategy = strategy
     global_registry().counter(
         "search_strategy_total",

@@ -11,18 +11,39 @@ addressed (structure only — not identity, name, or insertion order),
 one bounded LRU map turns every repeat certification into an O(1)
 lookup.
 
-Two result kinds are cached per fingerprint:
+Three result kinds are cached:
 
-* the **max-eligibility profile** ``[M(0), ..., M(|N|)]``;
-* the **certificate**: the node order of the found IC-optimal
-  schedule, or the fact that none exists.
+* the **max-eligibility profile** ``[M(0), ..., M(|N|)]``, per
+  fingerprint;
+* the **schedule**: the node order of the exhaustive search's
+  IC-optimal schedule, or the fact that none exists, per fingerprint;
+* the **certificate**: a whole
+  :func:`~repro.core.certify.certify` result (order, certificate,
+  bounds, provenance) — composed, recognized, exhaustive or fallback —
+  so a dag is certified once per process, not once per request.
 
-Cached entries are exactly the sequential search's outputs, so cache
-hits are byte-identical to cold runs.  A schedule is re-validated
-against the *requesting* dag instance on every hit (``Schedule``
-construction replays the order), so a fingerprint collision — or a
-label set that coincides across semantically different uses — cannot
-smuggle in an invalid order.
+Profile and schedule entries are exactly the sequential search's
+outputs, so cache hits are byte-identical to cold runs.  A schedule is
+re-validated against the *requesting* dag instance on every hit
+(``Schedule`` construction replays the order), so a fingerprint
+collision — or a label set that coincides across semantically
+different uses — cannot smuggle in an invalid order.
+
+Certificate entries need a finer key than the fingerprint, because a
+cold result depends on more than the structure: recognition (VF2, the
+tree walks) and the greedy fallback follow node and arc *insertion
+order*, and the dag name goes into the schedule name.  A bare dag's
+key is its fingerprint, a digest of its insertion order, its name, the
+certification options and whether a block library is in use; the
+structural part is memoized under the dag's mutation counter, so a
+repeat costs O(1) and any mutation misses.  A
+:class:`~repro.core.composition.CompositionChain` is memoized *per
+instance*: its key adds the identities of its block records, block
+dags and attached schedules (the entry holds those objects, so the ids
+stay unique), so a fresh chain or a ``compose_with`` misses.  A hit
+replays the stored order against the requesting dag and returns a
+fresh result; its provenance is the one recorded by the call that
+filled the entry.
 
 Entries record nothing about the ``state_budget`` they were computed
 under: a search that *completed* within any budget is correct under
@@ -39,20 +60,34 @@ schedule order is still re-validated against the requesting dag on
 every hit exactly like an in-process entry.  Only entries with
 JSON-native node labels (ints/strings, e.g. every dag that arrived
 over the service wire format) are persisted — exotic labels stay
-in-memory-only rather than round-tripping lossily.
+in-memory-only rather than round-tripping lossily.  Certificate
+entries are never persisted (their keys hold process-local ids).
+
+Every entry operation holds one lock, so a cache is safe to share
+between threads (the sim server and the service certify on worker
+pools); searches run outside it, so two threads that miss the same key
+both compute it and the later one overwrites.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from ..exceptions import ScheduleError
 from ..fsio import atomic_write_json
 from ..obs import global_registry
+from .composition import CompositionChain
 from .dag import ComputationDag, Node
 from .optimality import DEFAULT_STATE_BUDGET, max_eligibility_profile
 from .schedule import Schedule
+
+if TYPE_CHECKING:
+    from .scheduler import SchedulingResult
 
 __all__ = [
     "CacheStats",
@@ -76,6 +111,45 @@ def _lookup_counter():
     )
 
 
+class _Certified(NamedTuple):
+    """A memoized :func:`~repro.core.certify.certify` result: just the
+    parts a hit needs to rebuild it against the requesting dag."""
+
+    order: tuple
+    name: str
+    certificate: object
+    bounds: tuple[int, int] | None
+    provenance: tuple
+    #: the chain's block records, block dags and attached schedules
+    #: (``()`` for a bare dag): holding them keeps the ids in the key
+    #: from being reused while the entry lives
+    held: tuple
+
+
+def _order_key(dag: ComputationDag) -> tuple[str, str]:
+    """``(fingerprint, insertion-order digest)`` of ``dag``, memoized
+    under its mutation counter like
+    :meth:`~repro.core.dag.ComputationDag.fingerprint`.
+
+    The digest covers the node order and every node's child and parent
+    order — all a cold certification can observe of how the dag was
+    built."""
+    version = dag._version
+    memo = getattr(dag, "_order_key_cache", None)
+    if memo is not None and memo[0] == version:
+        return memo[1]
+    h = hashlib.sha256()
+    for v in dag.nodes:
+        h.update(f"n:{v!r}\x00".encode())
+        for c in dag.children(v):
+            h.update(f"c:{c!r}\x00".encode())
+        for p in dag.parents(v):
+            h.update(f"p:{p!r}\x00".encode())
+    key = (dag.fingerprint(), h.hexdigest())
+    dag._order_key_cache = (version, key)
+    return key
+
+
 @dataclass
 class CacheStats:
     """Hit/miss counters of one :class:`ProfileCache`."""
@@ -92,13 +166,13 @@ class CacheStats:
 
 
 class ProfileCache:
-    """A bounded LRU cache of certification results, keyed by dag
-    fingerprint.
+    """A bounded LRU cache of certification results: ceilings and
+    schedules by fingerprint, whole certificates by dag and options.
 
     Parameters
     ----------
     maxsize:
-        Maximum number of (fingerprint, kind) entries; least recently
+        Maximum number of entries over all kinds; least recently
         *used* entries are evicted first.
     """
 
@@ -106,8 +180,9 @@ class ProfileCache:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._entries: OrderedDict[tuple[str, str], object] = OrderedDict()
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
         self._stats = CacheStats()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -115,8 +190,9 @@ class ProfileCache:
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
-        self._entries.clear()
-        self._stats = CacheStats()
+        with self._lock:
+            self._entries.clear()
+            self._stats = CacheStats()
 
     # -- observability -------------------------------------------------
     @property
@@ -142,31 +218,38 @@ class ProfileCache:
     def stats(self) -> CacheStats:
         """A point-in-time copy of the counters (safe to keep around;
         it does not track later lookups)."""
-        return replace(self._stats)
+        with self._lock:
+            return replace(self._stats)
 
-    def _get(self, key: tuple[str, str]):
-        kind = key[1]
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self._stats.misses += 1
-            _lookup_counter().labels(kind, "miss").inc()
-            return None
-        self._entries.move_to_end(key)
-        self._stats.hits += 1
-        _lookup_counter().labels(kind, "hit").inc()
+    def _get(self, key: tuple):
+        """The entry stored under ``key`` — a ``(key, kind)`` pair — or
+        ``None``; counts the lookup."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self._stats.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self._stats.hits += 1
+        _lookup_counter().labels(
+            key[1], "miss" if value is None else "hit"
+        ).inc()
         return value
 
-    def _put(self, key: tuple[str, str], value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self._stats.evictions += 1
+    def _put(self, key: tuple, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            evicted = 0
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+                evicted += 1
+            self._stats.evictions += evicted
+        if evicted:
             global_registry().counter(
                 "profile_cache_evictions_total",
                 "certification cache entries dropped by the LRU bound",
-            ).inc()
+            ).inc(evicted)
 
     # -- persistence ---------------------------------------------------
     _FILE_VERSION = 1
@@ -176,10 +259,15 @@ class ProfileCache:
         (atomic, fsync'd); returns how many were written.
 
         Profile entries always persist; schedule entries persist only
-        when every node label is an int or str (lossless round-trip).
+        when every node label is an int or str (lossless round-trip);
+        certificate entries never do.
         """
+        with self._lock:
+            items = list(self._entries.items())
         entries = []
-        for (fp, kind), value in self._entries.items():
+        for (fp, kind), value in items:
+            if kind == "certificate":
+                continue
             if value is _NO_SCHEDULE:
                 entries.append({"fingerprint": fp, "kind": kind,
                                 "none_exists": True})
@@ -308,6 +396,54 @@ class ProfileCache:
         )
         self._put(key, _NO_SCHEDULE if sched is None else tuple(sched.order))
         return sched
+
+    def certificate(
+        self,
+        target: ComputationDag | CompositionChain,
+        options: tuple,
+        certify_cold: Callable[[], SchedulingResult],
+    ) -> SchedulingResult:
+        """``certify_cold()``, memoized per dag (or chain instance) and
+        ``options`` — the certification settings the result depends on.
+
+        A hit rebuilds — and thereby re-validates — the schedule
+        against the requesting dag and returns a fresh
+        :class:`~repro.core.scheduler.SchedulingResult` with the stored
+        order, certificate, bounds and provenance.  Provenance is the
+        one recorded by the call that filled the entry (a block that
+        call ``"searched"`` stays ``"searched"``).  Failed
+        certifications raise and are never stored.
+        """
+        from .scheduler import SchedulingResult
+
+        if isinstance(target, CompositionChain):
+            dag = target.dag
+            held = tuple(x for rec in target.blocks
+                         for x in (rec, rec.block, rec.schedule))
+            scope = (target.name, tuple(map(id, held)))
+        else:
+            dag, held, scope = target, (), ()
+        key = ((*_order_key(dag), dag.name, *options, *scope),
+               "certificate")
+        entry: _Certified | None = self._get(key)
+        if entry is not None:
+            try:
+                sched = Schedule(dag, entry.order, name=entry.name)
+            except ScheduleError:
+                # labels whose reprs collide across dags share a key
+                # but not the nodes: certify afresh and overwrite
+                pass
+            else:
+                return SchedulingResult(
+                    sched, entry.certificate, bounds=entry.bounds,
+                    provenance=entry.provenance,
+                )
+        result = certify_cold()
+        self._put(key, _Certified(
+            tuple(result.schedule.order), result.schedule.name,
+            result.certificate, result.bounds, result.provenance, held,
+        ))
+        return result
 
 
 #: process-wide default cache used by ``schedule_dag`` and the sim

@@ -56,46 +56,33 @@ def recognize_mesh_coordinates(
         members = levels.get(k, [])
         if len(members) != k + 1:
             return None
-        by_parents = {v: set(dag.parents(v)) for v in members}
+        # the level's nodes by parent set, each bucket in members order
+        by_parents: dict[frozenset, list[Node]] = {}
+        for v in members:
+            by_parents.setdefault(frozenset(dag.parents(v)), []).append(v)
         # walk the level: position m has parents {prev[m-1], prev[m]}
         ordered: list[Node] = []
         for m in range(k + 1):
-            expected = set()
-            if m > 0:
-                expected.add(prev[m - 1])
-            if m < k:
-                expected.add(prev[m])
-            matches = [
-                v
-                for v in members
-                if by_parents[v] == expected and v not in ordered
-            ]
+            matches = by_parents.get(frozenset(prev[max(m - 1, 0):m + 1]))
             if not matches:
                 return None
             # level 1 is reflection-symmetric (both nodes have the
             # apex as sole parent); either choice extends to a full
             # labeling because reflection is a mesh automorphism
-            ordered.append(matches[0])
+            ordered.append(matches.pop(0))
         for m, v in enumerate(ordered):
             coord[v] = (k, m)
         prev = ordered
     # verify arcs are exactly the mesh arcs
+    at = {c: v for v, c in coord.items()}
     expected_arcs = set()
     for v, (k, m) in coord.items():
         if k < depth:
-            expected_arcs.add((v, prev_lookup(coord, k + 1, m)))
-            expected_arcs.add((v, prev_lookup(coord, k + 1, m + 1)))
+            expected_arcs.add((v, at[k + 1, m]))
+            expected_arcs.add((v, at[k + 1, m + 1]))
     if set(dag.arcs) != expected_arcs:
         return None
     return coord
-
-
-def prev_lookup(coord: dict, k: int, m: int) -> Node:
-    """Inverse coordinate lookup (helper for mesh verification)."""
-    for v, c in coord.items():
-        if c == (k, m):
-            return v
-    raise KeyError((k, m))
 
 
 def _recognize_out_mesh(dag: ComputationDag) -> CompositionChain | None:

@@ -193,10 +193,14 @@ def schedule_dag(
         Ideal-state cap for the exhaustive search; if exceeded the
         strategy falls back (anytime under a ``budget``, else greedy).
     cache:
-        ``True`` (default) memoizes exhaustive results in the
-        process-wide :func:`~repro.core.profile_cache
-        .global_profile_cache`; pass a :class:`ProfileCache` to use a
-        private one, or ``False`` to search from scratch.
+        ``True`` (default) memoizes certification in the process-wide
+        :func:`~repro.core.profile_cache.global_profile_cache`: the
+        whole result per dag (or per chain instance) and options —
+        a repeat replays the stored order against ``target`` and keeps
+        the provenance of the first call — plus the exhaustive
+        searches' ceilings and schedules per fingerprint.  Pass a
+        :class:`ProfileCache` to use a private one, or ``False`` to
+        certify from scratch.
     library:
         ``True`` (default) certifies composition blocks through the
         process-wide :func:`~repro.core.certify.global_block_library`;

@@ -36,15 +36,24 @@ Snapshots and truncation
 
 Every ``snapshot_every`` appends (and on graceful close) the full
 shadow state is written as an **atomic, fsync'd snapshot**
-(``snapshot.json`` via :func:`repro.fsio.atomic_write_json`; the
+(``snapshot.json`` via :func:`repro.fsio.atomic_write_bytes`; the
 prior snapshot is kept as ``snapshot.prev.json``) and the journal is
 truncated.  A crash between snapshot and truncation merely replays
 duplicates — every record applies idempotently.
 
+A snapshot is one JSON object,
+``{"version": 2, "seq": S, "crc32": C, "entries": E}``, where ``C``
+is the CRC32 of ``S`` and of the exact bytes of ``E`` as written.
+Every byte is covered: a flipped bit fails the JSON parse, the
+version, the fixed prefix or the checksum.  (Without it, a flip inside
+a string no replay check reads, such as a provenance fingerprint, was
+served.)  Version-1 snapshots, which carry no checksum, are still read.
+
 Recovery state machine (see ``docs/ROBUSTNESS.md``)
 ---------------------------------------------------
 
-1. load ``snapshot.json``; on corruption fall back to
+1. load ``snapshot.json``; on corruption (bad JSON, version or
+   checksum) fall back to
    ``snapshot.prev.json``, then to an empty state (full journal
    replay) — corruption is *counted*, never raised;
 2. scan the journal, stopping at the first bad length/checksum/JSON
@@ -87,7 +96,7 @@ from ..core.io import (
     schedule_to_dict,
 )
 from ..exceptions import ReproError
-from ..fsio import atomic_write_json
+from ..fsio import atomic_write_bytes
 from ..obs import global_registry
 
 __all__ = [
@@ -114,7 +123,37 @@ FSYNC_POLICIES = ("always", "interval", "never")
 JOURNAL_FILE = "journal.wal"
 SNAPSHOT_FILE = "snapshot.json"
 SNAPSHOT_PREV_FILE = "snapshot.prev.json"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
+#: the unchecksummed snapshot format of earlier releases, still read.
+_LEGACY_SNAPSHOT_VERSION = 1
+
+_SNAPSHOT_SUFFIX = b"}\n"
+
+
+def _snapshot_prefix(seq: int, crc) -> bytes:
+    return (f'{{"version": {_SNAPSHOT_VERSION}, "seq": {seq}, '
+            f'"crc32": {crc}, "entries": ').encode()
+
+
+def _snapshot_crc(seq: int, entries: bytes) -> int:
+    return zlib.crc32(entries, zlib.crc32(str(seq).encode())) & 0xFFFFFFFF
+
+
+def _snapshot_bytes(seq: int, state: dict) -> bytes:
+    """The snapshot file: a JSON object whose ``crc32`` covers ``seq``
+    and the exact bytes of ``entries``."""
+    entries = json.dumps(state, sort_keys=True).encode("utf-8")
+    return (_snapshot_prefix(seq, _snapshot_crc(seq, entries))
+            + entries + _SNAPSHOT_SUFFIX)
+
+
+def _snapshot_intact(raw: bytes, seq: int, crc) -> bool:
+    """Whether ``raw`` is byte for byte what :func:`_snapshot_bytes`
+    writes for ``seq``, with a matching checksum ``crc``."""
+    prefix = _snapshot_prefix(seq, crc)
+    return raw.startswith(prefix) and raw.endswith(_SNAPSHOT_SUFFIX) \
+        and _snapshot_crc(
+            seq, raw[len(prefix):-len(_SNAPSHOT_SUFFIX)]) == crc
 
 
 # ----------------------------------------------------------------------
@@ -586,11 +625,10 @@ class DurabilityManager:
                 if os.path.exists(self.snapshot_path):
                     os.replace(self.snapshot_path,
                                self.snapshot_prev_path)
-                atomic_write_json(self.snapshot_path, {
-                    "version": _SNAPSHOT_VERSION,
-                    "seq": self._seq,
-                    "entries": self._state,
-                })
+                atomic_write_bytes(
+                    self.snapshot_path,
+                    _snapshot_bytes(self._seq, self._state),
+                )
                 # the snapshot is durable; the journal's records are
                 # now redundant — truncate.  A crash landing between
                 # the two replays duplicates, which apply idempotently.
@@ -690,16 +728,22 @@ class DurabilityManager:
     @staticmethod
     def _read_snapshot(path: str) -> tuple[dict, int] | None:
         try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            data = json.loads(raw)
         except (OSError, ValueError):
             return None
-        if not isinstance(data, dict) or \
-                data.get("version") != _SNAPSHOT_VERSION:
+        if not isinstance(data, dict):
             return None
         entries = data.get("entries")
         seq = data.get("seq")
         if not isinstance(entries, dict) or not isinstance(seq, int):
+            return None
+        version = data.get("version")
+        if version == _SNAPSHOT_VERSION:
+            if not _snapshot_intact(raw, seq, data.get("crc32")):
+                return None
+        elif version != _LEGACY_SNAPSHOT_VERSION:
             return None
         state = {
             fp: dict(entry)

@@ -249,6 +249,50 @@ class TestManager:
         assert report.snapshot_used == "none"
         assert report.entries_restored == 1
 
+    def test_snapshot_bit_flips_detected(self, registry, tmp_path):
+        """A flipped bit anywhere in a snapshot marks it corrupt —
+        including bytes no replay check reads, such as provenance
+        fingerprints, which used to be served as written."""
+        dag = wire_dag()
+        res = certify(dag)
+        assert res.provenance  # composed: carries block fingerprints
+        mgr = DurabilityManager(str(tmp_path), fsync="never",
+                                snapshot_every=0)
+        mgr.record_admitted(res.fingerprint, dag)
+        mgr.record_certificate(res.fingerprint, res)
+        assert mgr.snapshot_now()
+        raw = open(mgr.snapshot_path, "rb").read()
+        for pos in range(0, len(raw), 3):
+            flipped = bytearray(raw)
+            flipped[pos] ^= 1 << (pos % 8)
+            with open(mgr.snapshot_path, "wb") as fh:
+                fh.write(flipped)
+            reg = DagRegistry()
+            report = DurabilityManager(str(tmp_path),
+                                       fsync="never").recover(reg)
+            assert report.snapshot_corrupt, pos
+            assert reg.get(res.fingerprint) is None  # journal truncated
+
+    def test_legacy_snapshot_still_read(self, registry, tmp_path):
+        dag = wire_dag()
+        res = certify(dag)
+        mgr = DurabilityManager(str(tmp_path), fsync="never")
+        mgr.record_admitted(res.fingerprint, dag)
+        mgr.record_certificate(res.fingerprint, res)
+        assert mgr.snapshot_now()
+        snap = json.load(open(mgr.snapshot_path))
+        assert snap["version"] == 2
+        with open(mgr.snapshot_path, "w") as fh:
+            json.dump({"version": 1, "seq": snap["seq"],
+                       "entries": snap["entries"]}, fh)
+        reg = DagRegistry()
+        report = DurabilityManager(str(tmp_path),
+                                   fsync="never").recover(reg)
+        assert report.snapshot_used == "current"
+        assert not report.snapshot_corrupt
+        assert result_to_dict(reg.get(res.fingerprint).schedule) == \
+            result_to_dict(res)
+
     def test_torn_tail_truncated_and_counted(self, registry, tmp_path):
         dag = wire_dag()
         mgr = DurabilityManager(str(tmp_path), fsync="never",

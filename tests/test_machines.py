@@ -10,6 +10,7 @@ of the ``machine=`` option.
 
 import dataclasses
 import json
+import pathlib
 import urllib.error
 import urllib.request
 
@@ -558,6 +559,34 @@ class TestComparison:
         dag = out_mesh_dag(4)
         cmp = compare_policies(dag, None, clients=4)
         assert cmp.machine == "ideal"
+
+
+class TestBareButterflyPins:
+    """IC-OPT makespans of the *bare* B_4 against the committed
+    ``BENCH_machines`` sweep.  A bare butterfly is certified through
+    recognition, and which of its automorphisms VF2 picks moves these
+    makespans (a level-slab certificate of the same profile gives
+    144.0 on memcap), so a change to recognition or to the certificate
+    memo shows up here, not only in the benchmark gate."""
+
+    RECORD = (pathlib.Path(__file__).resolve().parents[1]
+              / "benchmarks" / "BENCH_machines.json")
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_ic_opt_makespans_match_record(self, cache):
+        sweep = json.loads(self.RECORD.read_text())["sweep"]
+        pins = sweep["families"]["B_4"]["machines"]
+        assert len(pins) == 4
+        dag = butterfly_dag(4)
+        # with the cache the second call per machine is a memo hit
+        for _ in range(1 + cache):
+            for machine, cell in pins.items():
+                res = api.simulate(
+                    dag, clients=sweep["clients"], seed=sweep["seed"],
+                    machine=machine, cache=cache,
+                )
+                assert round(res.makespan, 6) == \
+                    cell["makespans"]["IC-OPT"], machine
 
 
 # ----------------------------------------------------------------------

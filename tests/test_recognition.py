@@ -1,5 +1,7 @@
 """Tests for bare-dag structure recognition."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -39,6 +41,90 @@ class TestMeshCoordinates:
     def test_rejects_mutilated_mesh(self):
         dag = mesh.out_mesh_dag(3)
         dag.remove_arc((1, 0), (2, 0))
+        assert recognize_mesh_coordinates(dag) is None
+
+
+def reference_mesh_coordinates(dag):
+    """The original quadratic coordinate recovery (list membership in
+    the level walk, a linear scan per inverse lookup): the oracle the
+    linear-time version must match byte for byte."""
+    if len(dag.sources) != 1 or not dag.is_acyclic():
+        return None
+    levels = {}
+    for v, lv in dag.node_levels().items():
+        levels.setdefault(lv, []).append(v)
+    depth = max(levels)
+    coord = {dag.sources[0]: (0, 0)}
+    if levels[0] != [dag.sources[0]]:
+        return None
+    prev = [dag.sources[0]]
+    for k in range(1, depth + 1):
+        members = levels.get(k, [])
+        if len(members) != k + 1:
+            return None
+        by_parents = {v: set(dag.parents(v)) for v in members}
+        ordered = []
+        for m in range(k + 1):
+            expected = set()
+            if m > 0:
+                expected.add(prev[m - 1])
+            if m < k:
+                expected.add(prev[m])
+            matches = [v for v in members
+                       if by_parents[v] == expected and v not in ordered]
+            if not matches:
+                return None
+            ordered.append(matches[0])
+        for m, v in enumerate(ordered):
+            coord[v] = (k, m)
+        prev = ordered
+
+    def lookup(k, m):
+        return next(v for v, c in coord.items() if c == (k, m))
+
+    expected_arcs = set()
+    for v, (k, m) in coord.items():
+        if k < depth:
+            expected_arcs.add((v, lookup(k + 1, m)))
+            expected_arcs.add((v, lookup(k + 1, m + 1)))
+    if set(dag.arcs) != expected_arcs:
+        return None
+    return coord
+
+
+def shuffled_copy(dag, seed):
+    """A relabelled copy with nodes and arcs inserted in random order
+    (the level-1 tie-break follows insertion order)."""
+    rng = random.Random(seed)
+    label = {v: ("s", seed, i) for i, v in enumerate(dag.nodes)}
+    nodes = [label[v] for v in dag.nodes]
+    arcs = [(label[u], label[v]) for u, v in dag.arcs]
+    rng.shuffle(nodes)
+    rng.shuffle(arcs)
+    return ComputationDag(nodes, arcs)
+
+
+class TestLinearMeshCoordinates:
+    @pytest.mark.parametrize("depth", range(1, 21))
+    def test_matches_reference(self, depth):
+        dag = mesh.out_mesh_dag(depth)
+        copies = [dag, scrambled(dag)] + \
+            [shuffled_copy(dag, seed) for seed in range(3)]
+        for g in copies:
+            got = recognize_mesh_coordinates(g)
+            assert got is not None
+            assert list(got.items()) == \
+                list(reference_mesh_coordinates(g).items())
+
+    @pytest.mark.parametrize("build", [
+        lambda: prefix.prefix_dag(4),
+        lambda: trees.complete_out_tree(3).dag,
+        lambda: butterfly_net.butterfly_dag(2),
+        lambda: mesh.in_mesh_dag(3),
+    ])
+    def test_rejects_like_reference(self, build):
+        dag = build()
+        assert reference_mesh_coordinates(dag) is None
         assert recognize_mesh_coordinates(dag) is None
 
 

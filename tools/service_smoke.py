@@ -9,7 +9,10 @@ client would:
 2. ``POST /v1/dags`` — submit a dag, expect a certified schedule;
 3. resubmit the same dag — expect ``how == "cached"`` (registry hit);
 4. ``GET /v1/schedules/{fingerprint}`` — fetch the stored schedule;
-5. ``POST /v1/simulate`` — by fingerprint and with an inline dag;
+5. ``POST /v1/simulate`` — by fingerprint and with an inline dag; a
+   repeat IC-OPT simulation is served from the certificate memo
+   (one ``profile_cache_lookups_total{kind="certificate"}`` hit, no
+   block-library lookup);
 6. ``GET /metrics`` — the Prometheus exposition carries the service
    counters; ``GET /stats`` agrees with what we just did;
 7. the live observatory — ``GET /ui`` is one self-contained HTML
@@ -103,6 +106,20 @@ def main() -> int:
                         {"fingerprint": fp, "clients": 3, "seed": 0})
             check(sim["completed"] == wire["n"],
                   "POST /v1/simulate by fingerprint completes all tasks")
+
+            def lookups():
+                return (registry.value("profile_cache_lookups_total",
+                                       kind="certificate", result="hit"),
+                        registry.value("certify_block_cache_lookups_total"))
+
+            ic_opt = {"fingerprint": fp, "policy": "IC-OPT", "clients": 2}
+            _post(svc.url + "/v1/simulate", ic_opt)
+            hits, blocks = lookups()
+            _post(svc.url + "/v1/simulate", ic_opt)
+            hits2, blocks2 = lookups()
+            check(hits2 == hits + 1 and blocks2 == blocks,
+                  "repeat IC-OPT simulation reuses the memoized "
+                  "certificate (no block lookups)")
             sim2 = _post(svc.url + "/v1/simulate",
                          {"dag": wire, "policy": "FIFO", "clients": 2})
             check(sim2["completed"] == wire["n"]
