@@ -1,23 +1,28 @@
 """E-FAULTS — fault-tolerance machinery cost and chaos-scenario gates.
 
-PR 4 added the realistic failure model (``repro.sim.faults``): the
-public ``simulate()`` now dispatches to a fault-tolerant engine when a
-``server_policy`` / ``fault_plan`` is given.  This bench proves the
-fault path costs nothing when unused and stays deterministic when
-used.  It times the simulation of a ``B_7`` butterfly three ways —
+The public ``simulate()`` dispatches to a fault-tolerant engine
+(``repro.sim.faults``) when a ``server_policy`` / ``fault_plan`` is
+given.  This bench proves the fault path costs nothing when unused and
+stays deterministic when used.  It times the simulation of a ``B_7``
+butterfly three ways —
 
-* **kernel** — the ideal-model event loop called directly
-  (``repro.sim.server._simulate_ideal``), i.e. exactly what
-  ``simulate()`` ran before PR 4;
+* **kernel** — the no-fault event loop called directly on the ideal
+  machine (``repro.sim.server._simulate_kernel`` with
+  ``machine=IdealMachine()``);
 * **disabled** — the public ``simulate()`` with faults left off
-  (default arguments), measuring the dispatch overhead.  Gated
-  **under 5%** by ``tools/check_bench_regression.py`` — the
-  faults-disabled budget mirroring the observability budget;
+  (default arguments), measuring the dispatch overhead (machine
+  resolution and the fault-plan check).  Gated **under 5%** by
+  ``tools/check_bench_regression.py`` — the faults-disabled budget
+  mirroring the observability budget;
 * **engine** — ``simulate()`` through the fault-tolerant engine with
   the default :class:`~repro.sim.faults.ServerPolicy` and *no* fault
   plan (informational: what timeout/speculation bookkeeping costs when
   armed but never firing).
 
+Each overhead is the median of ``PAIRS`` paired ratios
+(:func:`_harness.paired_ratio`): within a pair the two sides alternate
+call by call until each has run ``PAIR_SECONDS`` of CPU time, so host
+load lands on both sides alike and cannot flip the gate.
 The kernel and disabled paths are asserted byte-identical before any
 number is recorded.  Each canned chaos scenario (churn, stragglers,
 flaky, blackout) is then run on a ``B_4`` butterfly with fixed seeds;
@@ -35,7 +40,6 @@ pytest-benchmark; the fresh record lands in
 from __future__ import annotations
 
 import json
-import time
 
 from repro.families.butterfly_net import butterfly_dag
 from repro.obs import (
@@ -46,9 +50,10 @@ from repro.obs import (
 )
 from repro.sim import FAULT_SCENARIOS, FaultPlan, ServerPolicy, simulate
 from repro.sim.heuristics import make_policy
-from repro.sim.server import _simulate_ideal
+from repro.sim.machines import IdealMachine
+from repro.sim.server import _simulate_kernel
 
-from _harness import OUT_DIR, write_report
+from _harness import OUT_DIR, PAIR_SECONDS, PAIRS, paired_ratio, write_report
 
 FRESH_RECORD = OUT_DIR / "BENCH_faults.json"
 
@@ -61,52 +66,47 @@ SCENARIO_DIM = 4
 CLIENTS = 8
 SCENARIO_CLIENTS = 6
 SEED = 1
-REPEATS = 5
+#: pairs for the informational engine overhead (the gated one uses
+#: the harness default)
+ENGINE_PAIRS = 3
 #: hard ceiling on the faults-disabled dispatch overhead, in percent
 #: (gated by tools/check_bench_regression.py).
 DISABLED_OVERHEAD_LIMIT_PCT = 5.0
 
 
-def _best_of(repeats: int, fn):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def collect_record() -> dict:
     dag = butterfly_dag(DIM)
+
+    def kernel():
+        return _simulate_kernel(
+            dag, make_policy("CRITPATH"), clients=CLIENTS, seed=SEED,
+            machine=IdealMachine(),
+        )
+
+    def disabled():
+        return simulate(
+            dag, make_policy("CRITPATH"), clients=CLIENTS, seed=SEED
+        )
+
+    def engine():
+        return simulate(
+            dag, make_policy("CRITPATH"), clients=CLIENTS, seed=SEED,
+            server_policy=ServerPolicy(),
+        )
 
     # isolate this workload's metrics; tracing stays off throughout
     # (the fault path must be cheap in the default configuration).
     old_reg = set_global_registry(MetricsRegistry())
     old_tracer = set_global_tracer(Tracer())
     try:
-        t_kernel, r_kernel = _best_of(
-            REPEATS,
-            lambda: _simulate_ideal(
-                dag, make_policy("CRITPATH"), clients=CLIENTS, seed=SEED
-            ),
-        )
-        t_disabled, r_disabled = _best_of(
-            REPEATS,
-            lambda: simulate(
-                dag, make_policy("CRITPATH"), clients=CLIENTS, seed=SEED
-            ),
-        )
-        assert r_disabled == r_kernel, (
+        r_kernel, r_engine = kernel(), engine()
+        assert disabled() == r_kernel, (
             "faults-disabled simulate() diverged from the ideal kernel"
         )
-        t_engine, r_engine = _best_of(
-            REPEATS,
-            lambda: simulate(
-                dag, make_policy("CRITPATH"), clients=CLIENTS,
-                seed=SEED, server_policy=ServerPolicy(),
-            ),
-        )
+        ratio_disabled, t_kernel, t_disabled = paired_ratio(
+            kernel, disabled)
+        ratio_engine, _, t_engine = paired_ratio(
+            kernel, engine, pairs=ENGINE_PAIRS)
         # the armed-but-idle engine must agree on the physics even
         # though its bookkeeping differs.
         assert r_engine.completed == r_kernel.completed
@@ -142,10 +142,10 @@ def collect_record() -> dict:
         set_global_registry(old_reg)
         set_global_tracer(old_tracer)
 
-    overhead_disabled = max(0.0, (t_disabled / t_kernel - 1.0) * 100.0)
-    overhead_engine = max(0.0, (t_engine / t_kernel - 1.0) * 100.0)
+    overhead_disabled = max(0.0, (ratio_disabled - 1.0) * 100.0)
+    overhead_engine = max(0.0, (ratio_engine - 1.0) * 100.0)
     return {
-        "schema": 1,
+        "schema": 2,
         "workload": f"B_{DIM} simulation under CRITPATH "
                     f"({CLIENTS} clients)",
         "sim": {
@@ -160,6 +160,10 @@ def collect_record() -> dict:
             "disabled_pct": round(overhead_disabled, 3),
             "engine_pct": round(overhead_engine, 3),
             "limit_disabled_pct": DISABLED_OVERHEAD_LIMIT_PCT,
+            "method": "median paired ratio",
+            "pairs": PAIRS,
+            "engine_pairs": ENGINE_PAIRS,
+            "pair_seconds": PAIR_SECONDS,
         },
         "scenarios": {
             "dag": f"B_{SCENARIO_DIM}",
@@ -176,14 +180,14 @@ def _render(record: dict) -> str:
 
     s, o = record["sim"], record["overhead"]
     rows = [
-        ("ideal kernel (direct)", f"{s['kernel_s'] * 1e3:.3f}", "-"),
+        ("kernel on IdealMachine", f"{s['kernel_s'] * 1e3:.3f}", "-"),
         ("simulate(), faults off", f"{s['disabled_s'] * 1e3:.3f}",
          f"{o['disabled_pct']:.2f}%"),
         ("fault engine, no faults", f"{s['engine_s'] * 1e3:.3f}",
          f"{o['engine_pct']:.2f}%"),
     ]
     report = render_table(
-        ["path", "best ms", "overhead"],
+        ["path", "median ms/call", "overhead"],
         rows,
         title=f"fault-path overhead on {s['dag']} "
               f"(limit {o['limit_disabled_pct']:.0f}% disabled)",

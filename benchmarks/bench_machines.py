@@ -5,12 +5,17 @@ item 3: *when does IC-optimality still win once communication and
 memory are not free?*  This bench guards both halves of that feature:
 
 * **overhead** — the ``machine=`` dispatch must cost nothing when the
-  machine is ideal.  The ideal-model kernel
-  (``repro.sim.server._simulate_ideal``) is timed against the public
-  ``simulate(..., machine="ideal")`` and the two results are asserted
-  byte-identical before any number is recorded; the relative overhead
-  is gated **under 5%** by ``tools/check_bench_regression.py``
-  (mirroring the observability / faults / durability budgets);
+  machine is ideal.  The no-fault event loop called directly on the
+  ideal machine (``repro.sim.server._simulate_kernel(...,
+  machine=IdealMachine())``) is timed against the public
+  ``simulate(..., machine="ideal")`` (spec parsing and resolution on
+  top), and the two results are asserted byte-identical before any
+  number is recorded; the overhead — the median of paired ratios,
+  the two sides interleaved call by call for at least
+  ``PAIR_SECONDS`` of CPU time each (:func:`_harness.paired_ratio`)
+  — is gated **under 5%** by
+  ``tools/check_bench_regression.py`` (mirroring the observability /
+  faults / durability budgets);
 * **sweep** — IC-OPT and the baselines (FIFO, RANDOM, plus the
   DAGPS-inspired PACKING and TROUBLESOME) race across every machine
   model on two workload families.  Seeded event-driven simulation is
@@ -30,7 +35,6 @@ pytest-benchmark; the fresh record lands in
 from __future__ import annotations
 
 import json
-import time
 
 from repro.core import schedule_dag
 from repro.families.butterfly_net import butterfly_dag
@@ -42,9 +46,10 @@ from repro.obs import (
     set_global_tracer,
 )
 from repro.sim import compare_policies, make_policy, simulate
-from repro.sim.server import _simulate_ideal
+from repro.sim.machines import IdealMachine
+from repro.sim.server import _simulate_kernel
 
-from _harness import OUT_DIR, write_report
+from _harness import OUT_DIR, PAIR_SECONDS, PAIRS, paired_ratio, write_report
 
 FRESH_RECORD = OUT_DIR / "BENCH_machines.json"
 
@@ -53,7 +58,6 @@ FRESH_RECORD = OUT_DIR / "BENCH_machines.json"
 DIM = 7
 CLIENTS = 8
 SEED = 1
-REPEATS = 5
 #: hard ceiling on the ideal-machine dispatch overhead, in percent
 #: (gated by tools/check_bench_regression.py).
 IDEAL_OVERHEAD_LIMIT_PCT = 5.0
@@ -77,38 +81,28 @@ def _families() -> dict:
     }
 
 
-def _best_of(repeats: int, fn):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def collect_record() -> dict:
     dag = butterfly_dag(DIM)
+
+    def kernel():
+        return _simulate_kernel(
+            dag, make_policy("CRITPATH"), clients=CLIENTS, seed=SEED,
+            machine=IdealMachine(),
+        )
+
+    def ideal():
+        return simulate(
+            dag, make_policy("CRITPATH"), clients=CLIENTS, seed=SEED,
+            machine="ideal",
+        )
 
     old_reg = set_global_registry(MetricsRegistry())
     old_tracer = set_global_tracer(Tracer())
     try:
-        t_kernel, r_kernel = _best_of(
-            REPEATS,
-            lambda: _simulate_ideal(
-                dag, make_policy("CRITPATH"), clients=CLIENTS, seed=SEED
-            ),
-        )
-        t_ideal, r_ideal = _best_of(
-            REPEATS,
-            lambda: simulate(
-                dag, make_policy("CRITPATH"), clients=CLIENTS,
-                seed=SEED, machine="ideal",
-            ),
-        )
-        assert r_ideal == r_kernel, (
+        assert ideal() == kernel(), (
             "simulate(machine='ideal') diverged from the ideal kernel"
         )
+        ratio_ideal, t_kernel, t_ideal = paired_ratio(kernel, ideal)
 
         sweep: dict[str, dict] = {}
         for fam_name, fam_dag in _families().items():
@@ -118,7 +112,7 @@ def collect_record() -> dict:
                 cmp = compare_policies(
                     fam_dag, sched, clients=SWEEP_CLIENTS,
                     policies=POLICIES, seed=SWEEP_SEED,
-                    machine=None if machine == "ideal" else machine,
+                    machine=machine,
                 )
                 makespans = {
                     name: round(res.makespan, 6)
@@ -142,9 +136,9 @@ def collect_record() -> dict:
         set_global_registry(old_reg)
         set_global_tracer(old_tracer)
 
-    overhead_ideal = max(0.0, (t_ideal / t_kernel - 1.0) * 100.0)
+    overhead_ideal = max(0.0, (ratio_ideal - 1.0) * 100.0)
     return {
-        "schema": 1,
+        "schema": 2,
         "workload": f"B_{DIM} simulation under CRITPATH "
                     f"({CLIENTS} clients)",
         "sim": {
@@ -157,6 +151,9 @@ def collect_record() -> dict:
         "overhead": {
             "ideal_pct": round(overhead_ideal, 3),
             "limit_ideal_pct": IDEAL_OVERHEAD_LIMIT_PCT,
+            "method": "median paired ratio",
+            "pairs": PAIRS,
+            "pair_seconds": PAIR_SECONDS,
         },
         "sweep": {
             "clients": SWEEP_CLIENTS,
@@ -172,9 +169,9 @@ def _render(record: dict) -> str:
 
     s, o = record["sim"], record["overhead"]
     report = render_table(
-        ["path", "best ms", "overhead"],
+        ["path", "median ms/call", "overhead"],
         [
-            ("ideal kernel (direct)", f"{s['kernel_s'] * 1e3:.3f}", "-"),
+            ("kernel on IdealMachine", f"{s['kernel_s'] * 1e3:.3f}", "-"),
             ("simulate(machine='ideal')", f"{s['ideal_s'] * 1e3:.3f}",
              f"{o['ideal_pct']:.2f}%"),
         ],

@@ -24,13 +24,15 @@ is recorded alongside so a regression can be localized.
 PR 7 added schedule-frame capture (:mod:`repro.obs.observatory`) to
 the simulator under the same contract, and this bench gates it the
 same way: a **frames** scenario times the simulation event loop three
-ways — ``reference`` (``_simulate_ideal(..., _frames=False)``: no
+ways — ``reference`` (``_simulate_kernel(..., _frames=False)``: no
 frame-store lookup at all), ``disabled`` (the default public path:
 one store lookup + enabled check per run — the store is resolved
 once, so per-event cost in both paths is the same pointer compare),
 and ``enabled`` (a live :class:`~repro.obs.observatory.FrameStore`
-recording every step, informational).  ``frames.disabled_pct`` is
-gated under the same 5% budget.
+recording every step, informational).  ``frames.disabled_pct`` — the
+median of paired ratios against the reference, the sides interleaved
+call by call (:func:`_harness.paired_ratio`) — is gated under the
+same 5% budget.
 
 All three paths are asserted to produce byte-identical profiles before
 any number is recorded.  Run standalone (``python
@@ -62,7 +64,7 @@ from repro.sim import simulate
 from repro.sim.heuristics import make_policy
 from repro.core import schedule_dag
 
-from _harness import OUT_DIR, write_report
+from _harness import OUT_DIR, paired_ratio, write_report
 
 FRESH_RECORD = OUT_DIR / "BENCH_observability.json"
 
@@ -81,10 +83,12 @@ DISABLED_OVERHEAD_LIMIT_PCT = 5.0
 #: — where the frame gating lives — dominates.
 FRAMES_DIM = 5
 FRAMES_CLIENTS = 8
-#: best-of over many repeats: the per-run delta under test (one store
-#: lookup + enabled check) is ~100 ns on a ~2 ms run, so the gate is
-#: really measuring scheduler noise — drive it down with samples.
-REPEATS_FRAMES = 50
+#: the frame paths are timed as medians of paired ratios against the
+#: reference (sides interleaved per call): the per-run delta (one store
+#: lookup + enabled check) is ~100 ns on a ~2 ms run, so a best-of
+#: gate measures scheduler noise.  The enabled path is informational
+#: and gets fewer pairs.
+ENABLED_FRAME_PAIRS = 3
 
 
 def _kernel_profile(dag, state_budget: int = BUDGET) -> list[int]:
@@ -213,34 +217,28 @@ def collect_record() -> dict:
             global_frame_store,
             set_global_frame_store,
         )
-        from repro.sim.server import _simulate_ideal
+        from repro.sim.machines import IdealMachine
+        from repro.sim.server import _simulate_kernel
 
         frames_dag = butterfly_dag(FRAMES_DIM)
+
+        def frames_run(frames: bool = True):
+            return _simulate_kernel(
+                frames_dag, make_policy("FIFO"), clients=FRAMES_CLIENTS,
+                machine=IdealMachine(), _frames=frames,
+            )
+
         old_store = set_global_frame_store(FrameStore())
         try:
-            t_fr_ref, r_ref = _best_of(
-                REPEATS_FRAMES,
-                lambda: _simulate_ideal(
-                    frames_dag, make_policy("FIFO"),
-                    clients=FRAMES_CLIENTS, _frames=False,
-                ),
-            )
-            t_fr_disabled, r_dis = _best_of(
-                REPEATS_FRAMES,
-                lambda: _simulate_ideal(
-                    frames_dag, make_policy("FIFO"),
-                    clients=FRAMES_CLIENTS,
-                ),
-            )
+            r_ref, r_dis = frames_run(False), frames_run()
+            fr_ratio, t_fr_ref, t_fr_disabled = paired_ratio(
+                lambda: frames_run(False), frames_run)
             store = global_frame_store()
             store.enable()
-            t_fr_enabled, r_en = _best_of(
-                REPEATS_FRAMES,
-                lambda: _simulate_ideal(
-                    frames_dag, make_policy("FIFO"),
-                    clients=FRAMES_CLIENTS,
-                ),
-            )
+            r_en = frames_run()
+            fr_enabled_ratio, _, t_fr_enabled = paired_ratio(
+                lambda: frames_run(False), frames_run,
+                pairs=ENABLED_FRAME_PAIRS)
             store.disable()
             assert r_ref.makespan == r_dis.makespan == r_en.makespan, (
                 "frame capture changed the simulation"
@@ -270,8 +268,8 @@ def collect_record() -> dict:
     overhead_disabled = max(0.0, (t_disabled / t_kernel - 1.0) * 100.0)
     overhead_enabled = max(0.0, (t_enabled / t_kernel - 1.0) * 100.0)
     overhead_serving = max(0.0, (t_serving / t_kernel - 1.0) * 100.0)
-    fr_disabled_pct = max(0.0, (t_fr_disabled / t_fr_ref - 1.0) * 100.0)
-    fr_enabled_pct = max(0.0, (t_fr_enabled / t_fr_ref - 1.0) * 100.0)
+    fr_disabled_pct = max(0.0, (fr_ratio - 1.0) * 100.0)
+    fr_enabled_pct = max(0.0, (fr_enabled_ratio - 1.0) * 100.0)
     return {
         "schema": 3,
         "workload": f"B_{DIM} ideal-lattice search "
@@ -339,7 +337,7 @@ def _render(record: dict) -> str:
     )
     fr = record["frames"]
     report += "\n\n" + render_table(
-        ["frame-capture path", "best ms", "overhead"],
+        ["frame-capture path", "ms/call", "overhead"],
         [
             ("reference (no frame path)",
              f"{fr['reference_s'] * 1e3:.3f}", "-"),

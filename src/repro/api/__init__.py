@@ -341,11 +341,10 @@ def simulate(
     from ..sim.server import _simulate_batched, simulate as _simulate
 
     spec = parse_machine(machine) if isinstance(machine, str) else machine
-    model = None if spec.kind == "ideal" else spec
     dag = _as_dag(target)
     fingerprint = dag.fingerprint()
     if batches is not None:
-        if model is not None:
+        if spec.kind != "ideal":
             raise SimulationError(
                 "the batched regimen supports only the ideal machine; "
                 f"got machine={str(spec)!r}"
@@ -359,7 +358,7 @@ def simulate(
             dag, make_policy("IC-OPT", schedule_order), clients, work,
             seed, comm_per_input, record_trace,
             server_policy=server_policy, fault_plan=fault_plan,
-            machine=model,
+            machine=spec,
         )
         return _wrap_simulation(
             fingerprint, res, None, schedule_order, machine=spec
@@ -384,7 +383,7 @@ def simulate(
             dag, make_policy("IC-OPT", scheduled.schedule), clients,
             work, seed, comm_per_input, record_trace,
             server_policy=server_policy, fault_plan=fault_plan,
-            machine=model,
+            machine=spec,
         )
         return _wrap_simulation(
             fingerprint, res, scheduled.certificate, scheduled.schedule,
@@ -393,7 +392,7 @@ def simulate(
     res = _simulate(
         dag, make_policy(policy), clients, work, seed, comm_per_input,
         record_trace, server_policy=server_policy, fault_plan=fault_plan,
-        machine=model,
+        machine=spec,
     )
     return _wrap_simulation(fingerprint, res, None, None, machine=spec)
 
@@ -473,7 +472,7 @@ def compare(
         dag, ic_schedule, clients=clients, policies=tuple(policies),
         work=work, seed=seed, comm_per_input=comm_per_input,
         server_policy=server_policy, fault_plan=fault_plan,
-        machine=None if spec.kind == "ideal" else spec,
+        machine=spec,
     )
     return CompareResult(
         fingerprint=dag.fingerprint(),

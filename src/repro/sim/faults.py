@@ -53,7 +53,15 @@ from ..exceptions import FaultPlanError, ServerPolicyError, SimulationError
 from ..obs import global_registry, global_tracer, span
 from ..obs.context import current_request_id
 from .heuristics import Policy, _heights
-from .server import ClientSpec, SimulationResult, TraceRecord, _record_quality
+from .machines import IdealMachine, MachineModel
+from .server import (
+    ClientSpec,
+    SimulationResult,
+    TraceRecord,
+    _clients_and_work,
+    _record_quality,
+    _sim_metrics,
+)
 
 __all__ = [
     "FaultEvent",
@@ -467,7 +475,7 @@ class _FaultEngine:
         record_trace: bool,
         server_policy: ServerPolicy,
         fault_plan: FaultPlan,
-        machine=None,
+        machine: MachineModel,
     ) -> None:
         self.dag = dag
         self.policy = policy
@@ -479,14 +487,12 @@ class _FaultEngine:
         self.plan = fault_plan
         self.total = len(dag)
         #: machine model (:mod:`repro.sim.machines`) threading the
-        #: same pricing/placement hooks as the no-fault machine loop;
-        #: ``None`` keeps the pre-machine event sequence byte-exact.
+        #: same pricing/placement hooks as the no-fault loop
         self.machine = machine
-        if machine is not None:
-            machine.attach(dag, len(self.clients), work_fn)
+        machine.attach(dag, len(self.clients), work_fn)
 
         #: client-behaviour stream (dropout/loss draws) — seeded the
-        #: same way the ideal engine seeds its stream.
+        #: same way the no-fault loop seeds its stream.
         self.rng = random.Random(seed)
         #: fault-plan stream (corruption, backoff jitter) — private,
         #: so chaos never perturbs the client-behaviour draws.
@@ -497,17 +503,9 @@ class _FaultEngine:
         self.tracer = global_tracer()
         reg = global_registry()
         self.reg = reg
-        self.m_alloc = reg.counter("sim_allocations_total",
-                                   "tasks handed to clients")
-        self.m_done = reg.counter("sim_completions_total",
-                                  "task results received by the server")
-        self.m_lost = reg.counter("sim_losses_total",
-                                  "allocations lost (client vanished)")
-        self.m_starve = reg.counter(
-            "sim_starvation_total",
-            "client requests that found no allocatable task")
-        self.m_steps = reg.counter(
-            "sim_steps_total", "simulation event-loop steps processed")
+        (self.m_alloc, self.m_done, self.m_lost, self.m_starve,
+         self.g_allocatable, self.g_eligible, self.g_completed,
+         self.m_steps) = _sim_metrics(reg)
         self.m_retries = reg.counter(
             "sim_retries_total",
             "tasks re-queued after a detected failure")
@@ -524,17 +522,6 @@ class _FaultEngine:
         self.g_quar = reg.gauge(
             "sim_quarantined_clients",
             "clients currently quarantined by the simulated server")
-        self.g_allocatable = reg.gauge(
-            "sim_allocatable",
-            "allocatable (eligible, unallocated) tasks at the latest "
-            "simulation step")
-        self.g_eligible = reg.gauge(
-            "sim_eligible",
-            "ELIGIBLE unexecuted tasks (allocatable + in flight) at the "
-            "latest simulation step")
-        self.g_completed = reg.gauge(
-            "sim_completed",
-            "tasks completed at the latest simulation step")
 
         # -- dag state ------------------------------------------------
         self.pending_parents = {v: dag.indegree(v) for v in dag.nodes}
@@ -567,7 +554,7 @@ class _FaultEngine:
         self.service_end: dict[int, float] = {}
 
         # -- observatory frame capture (docs/OBSERVABILITY.md §7) -----
-        # resolved once, like the ideal engine: a disabled store costs
+        # resolved once, like the no-fault loop: a disabled store costs
         # one lookup here and a None check per event below.
         from ..obs.observatory import global_frame_store
 
@@ -616,13 +603,11 @@ class _FaultEngine:
     def _launch(self, cid: int, task: Node, now: float,
                 speculative: bool = False, replica: bool = False) -> None:
         spec = self.clients[cid]
-        compute = self.work_fn(task)
-        if self.machine is not None:
-            # the machine transforms the task's work (hetero duration
-            # factors) before the client-speed division; the server
-            # knows the model, so nominal expectations shift with it
-            compute = self.machine.duration(task, cid, compute)
-            self.machine.on_start(task, cid, now)
+        # the machine transforms the task's work (hetero duration
+        # factors) before the client-speed division; the server knows
+        # the model, so nominal expectations shift with it
+        compute = self.machine.duration(task, cid, self.work_fn(task))
+        self.machine.on_start(task, cid, now)
         base = compute / spec.speed
         duration = base
         if spec.dropout and self.rng.random() < spec.dropout:
@@ -654,17 +639,6 @@ class _FaultEngine:
             self._push(now + self.sp.speculate_factor * nominal,
                        "speculate", aid)
 
-    def _pool(self, now: float) -> list[Node]:
-        """The allocatable tasks the machine releases at ``now`` (the
-        allocatable list itself when no machine holds tasks back, so
-        the pre-machine selection sequence stays byte-exact)."""
-        if self.machine is None:
-            return self.allocatable
-        return self.machine.ready(self.allocatable, now)
-
-    def _accepts(self, cid: int, now: float) -> bool:
-        return self.machine is None or self.machine.accepts(cid, now)
-
     def _grant(self, cid: int, pool: list[Node], now: float) -> None:
         task = self.policy.select(pool)
         self.allocatable.remove(task)
@@ -681,7 +655,8 @@ class _FaultEngine:
         if self.stalled_until.get(cid, 0.0) > now:
             return  # a wake event will re-request
         if self.allocatable:
-            pool = self._pool(now) if self._accepts(cid, now) else None
+            pool = (self.machine.ready(self.allocatable, now)
+                    if self.machine.accepts(cid, now) else None)
             if pool:
                 self._grant(cid, pool, now)
                 return
@@ -689,10 +664,7 @@ class _FaultEngine:
             # (barrier wait, memory-full client): idle without a
             # starvation count — the dag is not the bottleneck
             self.machine.note_stall()
-            self.idle.append(cid)
-            self.idle_since[cid] = now
-            return
-        if len(self.done) < self.total:
+        elif len(self.done) < self.total:
             self.starvation += 1
             self.m_starve.inc()
         self.idle.append(cid)
@@ -700,10 +672,10 @@ class _FaultEngine:
 
     def _take_idle(self, now: float) -> int | None:
         """Pop the first idle client the machine accepts work on (the
-        head of the queue when no machine interposes); ``None`` when
-        it accepts none."""
+        head of the queue unless the machine gates clients); ``None``
+        when it accepts none."""
         for i, cid in enumerate(self.idle):
-            if self._accepts(cid, now):
+            if self.machine.accepts(cid, now):
                 del self.idle[i]
                 self.idle_time += now - self.idle_since.pop(cid)
                 return cid
@@ -711,16 +683,15 @@ class _FaultEngine:
 
     def _take_idle_for(self, task: Node, now: float) -> int | None:
         """The first idle client the machine lets run ``task``."""
-        if self.machine is None or self.machine.released(task, now):
-            return self._take_idle(now)
-        return None
+        return (self._take_idle(now) if self.machine.released(task, now)
+                else None)
 
     def _dispatch_idle(self, now: float) -> None:
         """Put spare clients to use: fresh tasks first, then pending
         speculative re-executions, then eager replicas of critical
         in-flight tasks."""
         while self.idle and self.allocatable:
-            pool = self._pool(now)
+            pool = self.machine.ready(self.allocatable, now)
             cid = self._take_idle(now) if pool else None
             if cid is None:
                 break
@@ -851,8 +822,7 @@ class _FaultEngine:
             # the result silently never arrives (the client vanished
             # transiently); the deadline will detect it.  The client
             # itself resurfaces and asks for more work.
-            if self.machine is not None:
-                self.machine.on_abort(att.task, cid, now)
+            self.machine.on_abort(att.task, cid, now)
             if self.current.get(cid) == aid:
                 self._request(cid, now)
             return
@@ -861,15 +831,13 @@ class _FaultEngine:
         if att.task in self.done:
             # a duplicate (replica / speculative / written-off
             # straggler) landed after the winner: pure waste.
-            if self.machine is not None:
-                self.machine.on_abort(att.task, cid, now)
+            self.machine.on_abort(att.task, cid, now)
             self.report.wasted_replica_time += att.duration
             self._emit(att, now, "replica")
             self.fail_streak[cid] = 0
         elif (self.plan.corrupt_rate
                 and self.frng.random() < self.plan.corrupt_rate):
-            if self.machine is not None:
-                self.machine.on_abort(att.task, cid, now)
+            self.machine.on_abort(att.task, cid, now)
             self.report.corruptions += 1
             self.wasted_work += att.duration
             self.m_lost.inc()
@@ -880,10 +848,9 @@ class _FaultEngine:
             self._client_failed(cid, now)
             self._schedule_retry(att.task, now)
         else:
-            if self.machine is not None:
-                release = self.machine.on_complete(att.task, cid, now)
-                if release is not None:
-                    self._push(release, "machine", None)
+            release = self.machine.on_complete(att.task, cid, now)
+            if release is not None:
+                self._push(release, "machine", None)
             self.done.add(att.task)
             self.busy_time += att.duration
             self.m_done.inc()
@@ -959,8 +926,7 @@ class _FaultEngine:
             cid = ev.client
             if cid not in self.alive:
                 return
-            if self.machine is not None:
-                self.machine.on_crash(cid, now)
+            self.machine.on_crash(cid, now)
             self.alive.discard(cid)
             self.service_end[cid] = now
             self.report.crashes += 1
@@ -1010,8 +976,7 @@ class _FaultEngine:
         """A machine release time arrived (bsp barrier opening, memcap
         spill completing); ``_dispatch_idle`` re-examines blocked
         clients right after."""
-        if self.machine is not None:
-            self.machine.on_release(now)
+        self.machine.on_release(now)
 
     # -- main loop -----------------------------------------------------
     _HANDLERS = {
@@ -1074,8 +1039,7 @@ class _FaultEngine:
                 self._dispatch_idle(now)
                 self.headroom.append((now, len(self.allocatable)))
                 self._publish(now)
-                if (not self.events and self.machine is not None
-                        and self.allocatable):
+                if not self.events and self.allocatable:
                     # wedged by the machine (all clients blocked, no
                     # attempt in flight): trade for progress or stall
                     wake = self.machine.force_progress(now)
@@ -1120,12 +1084,8 @@ class _FaultEngine:
             wasted_work=self.wasted_work,
             trace=self.trace,
             fault_report=self.report,
+            machine_report=self.machine.report(),
         )
-        if self.machine is not None:
-            from .machines import _record_machine
-
-            result.machine_report = self.machine.report()
-            _record_machine(self.reg, result.machine_report)
         _record_quality(self.reg, result)
         return result
 
@@ -1140,7 +1100,7 @@ def simulate_with_faults(
     record_trace: bool = False,
     server_policy: ServerPolicy | None = None,
     fault_plan: FaultPlan | None = None,
-    machine=None,
+    machine: MachineModel | None = None,
 ) -> SimulationResult:
     """Simulate ``dag`` under ``policy`` with fault injection and a
     fault-tolerant server.
@@ -1155,25 +1115,22 @@ def simulate_with_faults(
     :class:`ServerPolicy`).  ``fault_plan`` (default: no faults)
     scripts crashes, churn, stalls, and result corruption.
 
+    ``machine`` is the model whose hooks the engine threads (default:
+    a fresh :class:`~repro.sim.machines.IdealMachine`).
+
     Deterministic: a fixed ``(dag, policy, clients, work, seed,
     comm_per_input, server_policy, fault_plan)`` tuple reproduces the
     run byte-for-byte, including ``fault_report`` and the trace.
     Completion is guaranteed whenever the plan leaves at least one
     live client.
     """
-    if isinstance(clients, int):
-        clients = [ClientSpec() for _ in range(clients)]
-    else:
-        clients = list(clients)
-    if not clients:
-        raise SimulationError("need at least one client")
-    work_fn = work if callable(work) else (lambda _v, _w=float(work): _w)
+    clients, work_fn = _clients_and_work(clients, work)
     policy.attach(dag)
     engine = _FaultEngine(
         dag, policy, clients, work_fn, seed, comm_per_input,
         record_trace,
         server_policy if server_policy is not None else ServerPolicy(),
         fault_plan if fault_plan is not None else FaultPlan(name="none"),
-        machine=machine,
+        machine=machine or IdealMachine(),
     )
     return engine.run()

@@ -1,21 +1,24 @@
 """Pluggable machine models for the IC server/client simulation.
 
-The ideal simulator (:func:`repro.sim.server.simulate`) executes under
-the exact idealization the source paper assumes: communication is
-free, client memory is unbounded, and a task costs the same wherever
-it runs.  Modern DAG-scheduling work drops each of those assumptions —
-Papp et al. (*DAG Scheduling in the BSP Model*) price supersteps and
-communication, Grandl et al. (DAGPS) pack tasks under resource
-budgets — and ROADMAP item 3 asks when IC-optimality still wins once
-they are gone.  This module answers with a pluggable
+The paper's simulator (:func:`repro.sim.server.simulate`) idealizes
+the machine: communication is free, client memory is unbounded, and a
+task costs the same wherever it runs.  Modern DAG-scheduling work
+drops each of those assumptions — Papp et al. (*DAG Scheduling in the
+BSP Model*) price supersteps and communication, Grandl et al. (DAGPS)
+pack tasks under resource budgets — and ROADMAP item 3 asks when
+IC-optimality still wins once they are gone.  This module answers
+with a pluggable
 :class:`MachineModel` layer behind one :class:`~repro.api.specs.MachineSpec`
-API:
+API.  A model is a set of hooks — it prices a schedule, it does not
+run one: both event engines (the no-fault loop in
+:mod:`repro.sim.server` and the fault engine) always thread a model,
+and the ideal machine is simply the model whose hooks are all no-ops.
 
 ``ideal``
-    Today's semantics.  The dispatch layer routes ``machine="ideal"``
-    to the untouched ideal kernel, so results stay byte-identical to
-    the pre-machine simulator (regression-pinned by
-    ``benchmarks/bench_machines.py``).
+    The paper's semantics (:class:`IdealMachine`): every hook is a
+    no-op and the run carries no machine report, so results are the
+    free-communication ones (pinned by ``tests/test_sim_reference.py``
+    and ``benchmarks/bench_machines.py``).
 ``bsp``
     Bulk-synchronous execution: tasks of dag level ℓ form superstep ℓ;
     when the last level-ℓ task completes, a barrier costing
@@ -42,27 +45,22 @@ API:
     policies, which is what makes cross-policy comparison fair.
 
 Fault plans compose with any machine: :class:`~repro.sim.faults._FaultEngine`
-threads the same hook surface (duration transform, placement gate,
-barrier release, abort/crash cleanup), so ``blackout`` under ``bsp``
-is one call away.  Accounting lands in a frozen :class:`MachineReport`
-on ``SimulationResult.machine_report`` and in the ``sim_machine_*``
-metrics.  See ``docs/MACHINES.md``.
+threads the same hook surface as the no-fault loop (duration
+transform, placement gate, barrier release, abort/crash cleanup), so
+``blackout`` under ``bsp`` is one call away.  Accounting lands in a
+frozen :class:`MachineReport` on ``SimulationResult.machine_report``
+and in the ``sim_machine_*`` metrics.  See ``docs/MACHINES.md``.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from ..core.dag import ComputationDag, Node
-from ..exceptions import MachineSpecError, SimulationError
-from ..obs import global_registry, global_tracer, span
-from .heuristics import Policy
-from .server import ClientSpec, SimulationResult, TraceRecord, _record_quality
+from ..exceptions import MachineSpecError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..api.specs import MachineSpec
@@ -113,14 +111,16 @@ class MachineReport:
 
 
 class MachineModel:
-    """Base machine model: the hook surface both event engines
-    (:func:`_simulate_machine` and the fault engine) thread.
+    """Base machine model: the hook surface both event engines (the
+    no-fault loop and the fault engine) thread on every run.
 
-    The default implementation is the ideal machine — every hook is a
-    no-op — so a model overrides only the costs it prices.  Models are
-    stateful within a run; :meth:`attach` (re)initializes all mutable
-    state, so one instance may be reused across sequential runs but
-    never shared between concurrent ones.
+    Every hook defaults to a no-op, so a model overrides only the costs
+    it prices; any model passed to ``simulate`` — one that leaves
+    ``kind`` unset included — runs its hooks and reports a
+    :class:`MachineReport`.  Models are stateful within a run;
+    :meth:`attach` (re)initializes all mutable state, so one instance
+    may be reused across sequential runs but never shared between
+    concurrent ones.
     """
 
     kind = "ideal"
@@ -143,6 +143,13 @@ class MachineModel:
     def __init__(self) -> None:
         self.stalls = 0
         self._spec_str: str | None = None
+
+    def _own(self, hook: str):
+        """The bound ``hook`` when this model overrides it, else
+        ``None`` — a no-op default an engine may skip."""
+        if getattr(type(self), hook) is getattr(MachineModel, hook):
+            return None
+        return getattr(self, hook)
 
     # -- lifecycle ----------------------------------------------------
     def attach(self, dag: ComputationDag, n_clients: int,
@@ -172,7 +179,7 @@ class MachineModel:
     def ready(self, allocatable: list[Node], now: float) -> list[Node]:
         """The released allocatable tasks — ``allocatable`` itself when
         the model never holds a task back, so selection sees the very
-        list the machine-less engines do."""
+        list the ideal machine does."""
         if not self._gates_tasks:
             return allocatable
         return [t for t in allocatable if self.released(t, now)]
@@ -218,15 +225,18 @@ class MachineModel:
 
 
 class IdealMachine(MachineModel):
-    """Today's semantics, as a model object.
-
-    The dispatch layer (:func:`resolve_machine`) short-circuits
-    ``ideal`` to the untouched ideal kernel, so this class exists for
-    the model interface's sake (custom models subclass the same
-    no-ops) and for callers that want an explicit object.
-    """
+    """The paper's machine — free communication, unbounded memory,
+    uniform task cost — and the model both engines run for ``None``,
+    ``"ideal"`` or an ideal spec.  Every hook is a no-op and
+    :meth:`report` returns ``None``, so ideal results carry no machine
+    report or ``sim_machine_*`` metrics.  Custom models subclass
+    :class:`MachineModel`, whose :meth:`report` reports."""
 
     kind = "ideal"
+
+    def report(self) -> None:
+        """``None``: the ideal machine prices nothing."""
+        return None
 
 
 class BspMachine(MachineModel):
@@ -280,12 +290,9 @@ class BspMachine(MachineModel):
         return now + cost
 
     def report(self):
-        return MachineReport(
-            machine=self.spec_str(), kind=self.kind,
-            supersteps=self.supersteps,
-            barrier_cost=self.barrier_cost,
-            comm_volume=self.comm_volume,
-            placement_stalls=self.stalls,
+        return replace(
+            super().report(), supersteps=self.supersteps,
+            barrier_cost=self.barrier_cost, comm_volume=self.comm_volume,
         )
 
 
@@ -388,12 +395,9 @@ class MemcapMachine(MachineModel):
             self._bump(self._pending_spills.pop(0), -1)
 
     def report(self):
-        return MachineReport(
-            machine=self.spec_str(), kind=self.kind,
-            placement_stalls=self.stalls,
-            spills=self.spills,
-            spill_time=self.spill_time,
-            peak_memory=self.peak,
+        return replace(
+            super().report(), spills=self.spills,
+            spill_time=self.spill_time, peak_memory=self.peak,
         )
 
 
@@ -469,10 +473,8 @@ class HeteroMachine(MachineModel):
         return base * self._factor(task)
 
     def report(self):
-        return MachineReport(
-            machine=self.spec_str(), kind=self.kind,
-            placement_stalls=self.stalls,
-            duration_min_factor=self.min_factor,
+        return replace(
+            super().report(), duration_min_factor=self.min_factor,
             duration_max_factor=self.max_factor,
         )
 
@@ -504,12 +506,12 @@ def build_machine(spec: "MachineSpec") -> MachineModel:
 def resolve_machine(machine) -> MachineModel | None:
     """Resolve a ``machine=`` argument — ``None``, a spec string, a
     :class:`~repro.api.specs.MachineSpec`, or a ready
-    :class:`MachineModel` — to the model the engines thread, or
-    ``None`` for the ideal machine (the dispatch layer keeps the ideal
-    path byte-identical by never interposing a model there)."""
-    if machine is None or isinstance(machine, MachineModel):
-        if machine is not None and machine.kind == "ideal":
-            return None
+    :class:`MachineModel` — to the model it names (a model instance as
+    is, whatever its ``kind``), or ``None`` for the stock ideal
+    machine, for which ``simulate`` runs a fresh :class:`IdealMachine`."""
+    if machine is None or type(machine) is IdealMachine:
+        return None
+    if isinstance(machine, MachineModel):
         return machine
     from ..api.specs import MachineSpec
 
@@ -553,233 +555,3 @@ def _record_machine(reg, report: MachineReport) -> None:
     reg.gauge("sim_machine_peak_memory",
               "peak per-client memory slots of the latest run",
               labels).labels(report.kind).set(report.peak_memory)
-
-
-# ----------------------------------------------------------------------
-# the machine-aware event loop (no-fault path)
-# ----------------------------------------------------------------------
-
-
-def _simulate_machine(
-    dag: ComputationDag,
-    policy: Policy,
-    clients: Sequence[ClientSpec] | int,
-    work: Callable[[Node], float] | float,
-    seed: int,
-    comm_per_input: float,
-    record_trace: bool,
-    machine: MachineModel,
-) -> SimulationResult:
-    """The machine-aware sibling of
-    :func:`repro.sim.server._simulate_ideal`: the same event loop with
-    the model's pricing/placement hooks threaded.
-
-    Kept separate so the ideal kernel stays untouched (byte-identity
-    is the acceptance bar, pinned by ``benchmarks/bench_machines.py``).
-    Observatory frame capture is ideal-path-only for now; metrics and
-    tracing are recorded identically.
-    """
-    if isinstance(clients, int):
-        clients = [ClientSpec() for _ in range(clients)]
-    if not clients:
-        raise SimulationError("need at least one client")
-    work_fn = work if callable(work) else (lambda _v, _w=float(work): _w)
-    rng = random.Random(seed)
-    policy.attach(dag)
-    machine.attach(dag, len(clients), work_fn)
-
-    reg = global_registry()
-    m_alloc = reg.counter("sim_allocations_total",
-                          "tasks handed to clients")
-    m_done = reg.counter("sim_completions_total",
-                         "task results received by the server")
-    m_lost = reg.counter("sim_losses_total",
-                         "allocations lost (client vanished)")
-    m_starve = reg.counter(
-        "sim_starvation_total",
-        "client requests that found no allocatable task")
-    g_allocatable = reg.gauge(
-        "sim_allocatable",
-        "allocatable (eligible, unallocated) tasks at the latest "
-        "simulation step")
-    g_eligible = reg.gauge(
-        "sim_eligible",
-        "ELIGIBLE unexecuted tasks (allocatable + in flight) at the "
-        "latest simulation step")
-    g_completed = reg.gauge(
-        "sim_completed",
-        "tasks completed at the latest simulation step")
-    m_steps = reg.counter(
-        "sim_steps_total", "simulation event-loop steps processed")
-    tracer = global_tracer()
-
-    pending_parents = {v: dag.indegree(v) for v in dag.nodes}
-    allocatable: list[Node] = [
-        v for v in dag.nodes if pending_parents[v] == 0
-    ]
-    allocated: set[Node] = set()
-    done: set[Node] = set()
-
-    counter = itertools.count()
-    events: list[tuple[float, int, str, int, Node | None]] = []
-    idle_clients: list[int] = []
-    idle_since: dict[int, float] = {}
-    busy_time = 0.0
-    idle_time = 0.0
-    starvation = 0
-    headroom: list[tuple[float, int]] = [(0.0, len(allocatable))]
-    lost_allocations = 0
-    wasted_work = 0.0
-    trace: list[TraceRecord] = []
-
-    def start_task(cid: int, task: Node, now: float) -> None:
-        nonlocal busy_time, lost_allocations, wasted_work
-        allocatable.remove(task)
-        allocated.add(task)
-        spec = clients[cid]
-        duration = machine.duration(task, cid, work_fn(task)) / spec.speed
-        if spec.dropout and rng.random() < spec.dropout:
-            duration *= spec.slowdown
-        duration += comm_per_input * dag.indegree(task)
-        lost = bool(spec.loss) and rng.random() < spec.loss
-        machine.on_start(task, cid, now)
-        if lost:
-            lost_allocations += 1
-            wasted_work += duration
-        else:
-            busy_time += duration
-        kind = "lost" if lost else "done"
-        m_alloc.inc()
-        tracer.event("sim.allocate", client=cid, task=str(task),
-                     t=now, kind=kind)
-        if record_trace:
-            trace.append(
-                TraceRecord(cid, task, now, now + duration, kind)
-            )
-        heapq.heappush(
-            events, (now + duration, next(counter), kind, cid, task)
-        )
-
-    def try_allocate(cid: int, now: float) -> bool:
-        if not allocatable:
-            return False
-        ready = (machine.ready(allocatable, now)
-                 if machine.accepts(cid, now) else None)
-        if not ready:
-            machine.note_stall()
-            return False
-        start_task(cid, policy.select(ready), now)
-        return True
-
-    def go_idle(cid: int, now: float) -> None:
-        nonlocal starvation
-        if not allocatable and len(done) < len(dag):
-            starvation += 1
-            m_starve.inc()
-        idle_clients.append(cid)
-        idle_since[cid] = now
-
-    def publish_step() -> None:
-        g_allocatable.set(len(allocatable))
-        g_eligible.set(len(allocatable) + len(allocated))
-        g_completed.set(len(done))
-
-    with span("sim.simulate", dag=dag.name, policy=policy.name,
-              clients=len(clients), machine=machine.kind):
-        now = 0.0
-        for cid in range(len(clients)):
-            if not try_allocate(cid, now):
-                go_idle(cid, now)
-        headroom.append((now, len(allocatable)))
-        publish_step()
-
-        while events:
-            now, _tb, kind, cid, task = heapq.heappop(events)
-            m_steps.inc()
-            if kind == "release":
-                machine.on_release(now)
-            elif kind == "lost":
-                assert task is not None
-                allocated.discard(task)
-                allocatable.append(task)
-                machine.on_abort(task, cid, now)
-                m_lost.inc()
-                tracer.event("sim.loss", client=cid, task=str(task),
-                             t=now)
-            else:
-                assert task is not None
-                allocated.discard(task)
-                done.add(task)
-                m_done.inc()
-                tracer.event("sim.complete", client=cid,
-                             task=str(task), t=now)
-                release = machine.on_complete(task, cid, now)
-                if release is not None:
-                    heapq.heappush(
-                        events,
-                        (release, next(counter), "release", -1, None),
-                    )
-                for child in dag.children(task):
-                    pending_parents[child] -= 1
-                    if pending_parents[child] == 0:
-                        allocatable.append(child)
-            # wake idle clients the machine will serve, first accepting
-            # client first; re-ask after each grant — a placement can
-            # change what the machine admits (memory used, levels open)
-            while idle_clients and allocatable:
-                ready = machine.ready(allocatable, now)
-                if not ready:
-                    break
-                i = next((i for i, wid in enumerate(idle_clients)
-                          if machine.accepts(wid, now)), None)
-                if i is None:
-                    break
-                wid = idle_clients.pop(i)
-                idle_time += now - idle_since.pop(wid)
-                start_task(wid, policy.select(ready), now)
-            if kind in ("done", "lost"):
-                # the finishing client requests again
-                if not try_allocate(cid, now):
-                    go_idle(cid, now)
-            headroom.append((now, len(allocatable)))
-            publish_step()
-            if not events and allocatable and len(done) < len(dag):
-                # wedged: idle clients, allocatable work, nothing in
-                # flight — ask the machine to trade for progress
-                wake = machine.force_progress(now)
-                if wake is None:
-                    raise SimulationError(
-                        f"machine {machine.kind!r} wedged the "
-                        f"simulation: {len(done)}/{len(dag)} tasks "
-                        "done and no placement possible"
-                    )
-                heapq.heappush(
-                    events, (wake, next(counter), "release", -1, None)
-                )
-
-    if len(done) != len(dag):
-        raise SimulationError(
-            f"simulation stalled: {len(done)}/{len(dag)} tasks done"
-        )
-    for wid in idle_clients:
-        idle_time += now - idle_since.pop(wid, now)
-    makespan = now
-    util = (
-        busy_time / (len(clients) * makespan) if makespan > 0 else 1.0
-    )
-    result = SimulationResult(
-        policy=policy.name,
-        makespan=makespan,
-        starvation_events=starvation,
-        idle_time=idle_time,
-        utilization=util,
-        headroom_series=headroom,
-        completed=len(done),
-        lost_allocations=lost_allocations,
-        wasted_work=wasted_work,
-        trace=trace,
-        machine_report=machine.report(),
-    )
-    _record_quality(reg, result)
-    _record_machine(reg, result.machine_report)
-    return result

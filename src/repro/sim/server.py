@@ -31,13 +31,19 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..api.specs import MachineSpec
     from .faults import FaultPlan, FaultReport, ServerPolicy
-    from .machines import MachineModel, MachineReport
 
 from ..exceptions import SimulationError
 from ..core.dag import ComputationDag, Node
 from ..obs import global_registry, global_tracer, span
 from ..obs.context import current_request_id
 from .heuristics import Policy
+from .machines import (
+    IdealMachine,
+    MachineModel,
+    MachineReport,
+    _record_machine,
+    resolve_machine,
+)
 
 __all__ = [
     "ClientSpec",
@@ -141,8 +147,7 @@ class SimulationResult:
     fault_report: "FaultReport | None" = None
     #: machine-model accounting
     #: (:class:`~repro.sim.machines.MachineReport`); ``None`` on the
-    #: ideal machine (the default), so ideal results stay byte-
-    #: identical to the pre-machine simulator
+    #: stock ideal machine (the default)
     machine_report: "MachineReport | None" = None
 
     @property
@@ -202,17 +207,16 @@ def simulate(
         :class:`~repro.sim.faults.FaultPlan`) dispatches to
         :func:`~repro.sim.faults.simulate_with_faults` and populates
         ``SimulationResult.fault_report``; the default (both ``None``)
-        keeps the ideal model and its exact event sequence.
+        runs the no-fault event loop (instant loss detection).
     machine:
         A machine model (``docs/MACHINES.md``): a spec string
         (``"bsp:g=1.0"``), a :class:`~repro.api.specs.MachineSpec`, or
-        a ready :class:`~repro.sim.machines.MachineModel`.  ``None``
-        and ``"ideal"`` keep today's free-communication semantics on
-        the untouched ideal kernel — byte-identical results, pinned by
-        ``benchmarks/bench_machines.py``; any other kind routes to the
-        machine-aware loop (or threads the model through the fault
-        engine — fault plans compose with any machine) and populates
-        ``SimulationResult.machine_report``.
+        a ready :class:`~repro.sim.machines.MachineModel`, resolved
+        here once; either engine threads its hooks.  ``None``,
+        ``"ideal"`` and an ideal spec run a fresh
+        :class:`~repro.sim.machines.IdealMachine` (the paper's
+        semantics; ``machine_report`` stays ``None``); any other model,
+        whatever its ``kind``, populates ``machine_report``.
 
     Allocation/completion/loss/starvation counts, the per-step
     eligibility / allocatable / completed gauges, and (on completion)
@@ -221,11 +225,7 @@ def simulate(
     renders live; with tracing enabled, every allocation outcome also
     emits a structured trace event under the ``sim.simulate`` span.
     """
-    model = None
-    if machine is not None:
-        from .machines import resolve_machine
-
-        model = resolve_machine(machine)
+    model = resolve_machine(machine) or IdealMachine()
     if server_policy is not None or fault_plan is not None:
         from .faults import simulate_with_faults
 
@@ -234,20 +234,51 @@ def simulate(
             record_trace, server_policy=server_policy,
             fault_plan=fault_plan, machine=model,
         )
-    if model is None:
-        return _simulate_ideal(
-            dag, policy, clients, work, seed, comm_per_input,
-            record_trace
-        )
-    from .machines import _simulate_machine
-
-    return _simulate_machine(
+    return _simulate_kernel(
         dag, policy, clients, work, seed, comm_per_input, record_trace,
-        model,
+        machine=model,
     )
 
 
-def _simulate_ideal(
+def _clients_and_work(clients, work) -> tuple[list, Callable]:
+    """Normalize the ``clients`` / ``work`` arguments every engine
+    takes: an int becomes that many unit-speed clients, a constant
+    work a constant function."""
+    if isinstance(clients, int):
+        clients = [ClientSpec() for _ in range(clients)]
+    if not clients:
+        raise SimulationError("need at least one client")
+    return list(clients), (
+        work if callable(work) else (lambda _v, _w=float(work): _w))
+
+
+def _sim_metrics(reg) -> tuple:
+    """Register (or fetch) the simulation series shared by the no-fault
+    loop and the fault engine: the allocation, completion, loss and
+    starvation counters, the allocatable / eligible / completed
+    gauges, and the step counter, in that order."""
+    return (
+        reg.counter("sim_allocations_total", "tasks handed to clients"),
+        reg.counter("sim_completions_total",
+                    "task results received by the server"),
+        reg.counter("sim_losses_total",
+                    "allocations lost (client vanished)"),
+        reg.counter("sim_starvation_total",
+                    "client requests that found no allocatable task"),
+        reg.gauge("sim_allocatable",
+                  "allocatable (eligible, unallocated) tasks at the "
+                  "latest simulation step"),
+        reg.gauge("sim_eligible",
+                  "ELIGIBLE unexecuted tasks (allocatable + in flight) "
+                  "at the latest simulation step"),
+        reg.gauge("sim_completed",
+                  "tasks completed at the latest simulation step"),
+        reg.counter("sim_steps_total",
+                    "simulation event-loop steps processed"),
+    )
+
+
+def _simulate_kernel(
     dag: ComputationDag,
     policy: Policy,
     clients: Sequence[ClientSpec] | int = 4,
@@ -255,25 +286,33 @@ def _simulate_ideal(
     seed: int = 0,
     comm_per_input: float = 0.0,
     record_trace: bool = False,
+    *,
+    machine: MachineModel,
     _frames: bool = True,
 ) -> SimulationResult:
-    """The ideal-model event loop behind :func:`simulate` (instant loss
-    detection, no timeouts/retries/replication).  Kept as a separate
-    kernel so the fault-path dispatch overhead is measurable
-    (``benchmarks/bench_faults.py``).
+    """The no-fault event loop behind :func:`simulate`: pull-based
+    clients, instant loss detection (a lost task returns to the pool at
+    its nominal finish), idle clients woken before the finishing client
+    requests again — with ``machine``'s hooks threaded (the ideal
+    machine is just the all-no-op model).
 
     ``_frames=False`` is the benchmark reference knob
     (``benchmarks/bench_observability.py``): it skips the frame-store
     resolution entirely, isolating the observatory's disabled-path
     cost (one store lookup + an ``enabled`` check per run; the
     per-event capture branch tests a local ``None`` either way)."""
-    if isinstance(clients, int):
-        clients = [ClientSpec() for _ in range(clients)]
-    if not clients:
-        raise SimulationError("need at least one client")
-    work_fn = work if callable(work) else (lambda _v, _w=float(work): _w)
+    clients, work_fn = _clients_and_work(clients, work)
     rng = random.Random(seed)
     policy.attach(dag)
+    machine.attach(dag, len(clients), work_fn)
+    # hooks bound once per run; one the model leaves at its no-op
+    # default is None and skipped, so the ideal machine pays a pointer
+    # test where a priced machine pays a call
+    price, on_start, on_complete = map(
+        machine._own, ("duration", "on_start", "on_complete"))
+    accepts, ready_of = machine.accepts, machine.ready
+    gated = bool(machine._own("accepts") or machine._own("released"))
+    total = len(dag)
 
     # -- observatory frame capture (docs/OBSERVABILITY.md §7) ----------
     # resolved ONCE per run, like the tracer's enabled flag: with the
@@ -296,28 +335,8 @@ def _simulate_ideal(
     frame_step = 0
 
     reg = global_registry()
-    m_alloc = reg.counter("sim_allocations_total",
-                          "tasks handed to clients")
-    m_done = reg.counter("sim_completions_total",
-                         "task results received by the server")
-    m_lost = reg.counter("sim_losses_total",
-                         "allocations lost (client vanished)")
-    m_starve = reg.counter(
-        "sim_starvation_total",
-        "client requests that found no allocatable task")
-    g_allocatable = reg.gauge(
-        "sim_allocatable",
-        "allocatable (eligible, unallocated) tasks at the latest "
-        "simulation step")
-    g_eligible = reg.gauge(
-        "sim_eligible",
-        "ELIGIBLE unexecuted tasks (allocatable + in flight) at the "
-        "latest simulation step")
-    g_completed = reg.gauge(
-        "sim_completed",
-        "tasks completed at the latest simulation step")
-    m_steps = reg.counter(
-        "sim_steps_total", "simulation event-loop steps processed")
+    (m_alloc, m_done, m_lost, m_starve, g_allocatable, g_eligible,
+     g_completed, m_steps) = _sim_metrics(reg)
     tracer = global_tracer()
 
     pending_parents = {v: dag.indegree(v) for v in dag.nodes}
@@ -327,7 +346,7 @@ def _simulate_ideal(
     allocated: set[Node] = set()
     done: set[Node] = set()
 
-    # event queue: (time, tiebreak, kind, payload)
+    # event queue: (time, tiebreak, kind, client, task)
     counter = itertools.count()
     events: list[tuple[float, int, str, int, Node | None]] = []
     idle_clients: list[int] = []
@@ -341,19 +360,21 @@ def _simulate_ideal(
     wasted_work = 0.0
     trace: list[TraceRecord] = []
 
-    def try_allocate(client_id: int, now: float) -> bool:
+    def start(client_id: int, task: Node, now: float) -> None:
         nonlocal busy_time, lost_allocations, wasted_work
-        if not allocatable:
-            return False
-        task = policy.select(allocatable)
         allocatable.remove(task)
         allocated.add(task)
         spec = clients[client_id]
-        duration = work_fn(task) / spec.speed
+        compute = work_fn(task)
+        if price is not None:
+            compute = price(task, client_id, compute)
+        duration = compute / spec.speed
         if spec.dropout and rng.random() < spec.dropout:
             duration *= spec.slowdown
         duration += comm_per_input * dag.indegree(task)
         lost = bool(spec.loss) and rng.random() < spec.loss
+        if on_start is not None:
+            on_start(task, client_id, now)
         if lost:
             lost_allocations += 1
             wasted_work += duration
@@ -372,7 +393,35 @@ def _simulate_ideal(
         heapq.heappush(
             events, (now + duration, next(counter), kind, client_id, task)
         )
+
+    def try_allocate(client_id: int, now: float) -> bool:
+        if not allocatable:
+            return False
+        ready = allocatable
+        if gated:
+            ready = (ready_of(allocatable, now)
+                     if accepts(client_id, now) else None)
+            if not ready:
+                # work exists but the machine refuses to place it here
+                # (barrier wait, memory-full client)
+                machine.note_stall()
+                return False
+        start(client_id, policy.select(ready), now)
         return True
+
+    def wake_at(t: float) -> None:
+        # a machine release event (barrier opening, spill completing)
+        heapq.heappush(events, (t, next(counter), "release", -1, None))
+
+    def go_idle(client_id: int, now: float) -> None:
+        nonlocal starvation
+        # a refused placement is a stall, not starvation: the dag is
+        # not the bottleneck
+        if not allocatable and len(done) < total:
+            starvation += 1
+            m_starve.inc()
+        idle_clients.append(client_id)
+        idle_since[client_id] = now
 
     def publish_step() -> None:
         # the per-step series the live dashboard (`repro watch`)
@@ -391,27 +440,46 @@ def _simulate_ideal(
                 eligible=list(allocatable) + list(allocated),
                 occupancy=occupancy,
                 events=tuple(frame_events),
-                done=len(done) == len(dag),
+                done=len(done) == total,
             )
             frame_events.clear()
 
     with span("sim.simulate", dag=dag.name, policy=policy.name,
-              clients=len(clients)):
+              clients=len(clients), machine=machine.kind):
         now = 0.0
         for cid in range(len(clients)):
             if not try_allocate(cid, now):
-                starvation += 1
-                m_starve.inc()
-                idle_clients.append(cid)
-                idle_since[cid] = now
+                go_idle(cid, now)
         headroom.append((now, len(allocatable)))
         publish_step()
 
         while events:
             now, _tb, kind, cid, task = heapq.heappop(events)
             m_steps.inc()
-            assert task is not None
-            if channel is not None:
+            if kind == "done":
+                allocated.discard(task)
+                done.add(task)
+                m_done.inc()
+                tracer.event("sim.complete", client=cid, task=str(task),
+                             t=now)
+                if on_complete is not None:
+                    release = on_complete(task, cid, now)
+                    if release is not None:
+                        wake_at(release)
+                for child in dag.children(task):
+                    pending_parents[child] -= 1
+                    if pending_parents[child] == 0:
+                        allocatable.append(child)
+            elif kind == "lost":
+                # server detects the loss; the task goes back in the pool
+                allocated.discard(task)
+                allocatable.append(task)
+                machine.on_abort(task, cid, now)
+                m_lost.inc()
+                tracer.event("sim.loss", client=cid, task=str(task), t=now)
+            else:
+                machine.on_release(now)
+            if channel is not None and kind != "release":
                 occupancy[cid] = None
                 if kind == "lost":
                     ev = {"kind": "loss", "client": cid,
@@ -420,40 +488,41 @@ def _simulate_ideal(
                     if rid is not None:
                         ev["request"] = rid
                     frame_events.append(ev)
-            if kind == "lost":
-                # server detects the loss; the task goes back in the pool
-                allocated.discard(task)
-                allocatable.append(task)
-                m_lost.inc()
-                tracer.event("sim.loss", client=cid, task=str(task), t=now)
-            else:
-                allocated.discard(task)
-                done.add(task)
-                m_done.inc()
-                tracer.event("sim.complete", client=cid, task=str(task),
-                             t=now)
-                for child in dag.children(task):
-                    pending_parents[child] -= 1
-                    if pending_parents[child] == 0:
-                        allocatable.append(child)
-            # wake idle clients while work exists
+            # wake idle clients the machine will serve, first accepting
+            # client first; a gating machine is re-asked after each
+            # grant — a placement can change what it admits (memory
+            # used, levels open)
             while idle_clients and allocatable:
-                wid = idle_clients.pop(0)
+                ready, i = allocatable, 0
+                if gated:
+                    ready = ready_of(allocatable, now)
+                    i = next((j for j, wid in enumerate(idle_clients)
+                              if accepts(wid, now)), None)
+                    if not ready or i is None:
+                        break
+                wid = idle_clients.pop(i)
                 idle_time += now - idle_since.pop(wid)
-                try_allocate(wid, now)
+                start(wid, policy.select(ready), now)
             # the finishing client requests again
-            if not try_allocate(cid, now):
-                if len(done) < len(dag):
-                    starvation += 1
-                    m_starve.inc()
-                idle_clients.append(cid)
-                idle_since[cid] = now
+            if kind != "release" and not try_allocate(cid, now):
+                go_idle(cid, now)
             headroom.append((now, len(allocatable)))
             publish_step()
+            if not events and allocatable and len(done) < total:
+                # wedged: idle clients, allocatable work, nothing in
+                # flight — ask the machine to trade for progress
+                wake = machine.force_progress(now)
+                if wake is None:
+                    raise SimulationError(
+                        f"machine {machine.kind!r} wedged the "
+                        f"simulation: {len(done)}/{total} tasks "
+                        "done and no placement possible"
+                    )
+                wake_at(wake)
 
-    if len(done) != len(dag):
+    if len(done) != total:
         raise SimulationError(
-            f"simulation stalled: {len(done)}/{len(dag)} tasks done"
+            f"simulation stalled: {len(done)}/{total} tasks done"
         )
     for wid in idle_clients:
         # trailing idleness up to makespan
@@ -473,18 +542,22 @@ def _simulate_ideal(
         lost_allocations=lost_allocations,
         wasted_work=wasted_work,
         trace=trace,
+        machine_report=machine.report(),
     )
     _record_quality(reg, result)
     return result
 
 
 def _record_quality(reg, result: SimulationResult) -> None:
-    """Publish a run's quality summary as per-policy labeled series.
+    """Publish a run's quality summary as per-policy labeled series
+    (and its machine report, when it has one, as ``sim_machine_*``).
 
     A counter tracks how many runs each policy has completed; the
     gauges hold the *latest* run's quality figures, which is what the
     live dashboard compares policies by.
     """
+    if result.machine_report is not None:
+        _record_machine(reg, result.machine_report)
     labels = ("policy",)
     reg.counter("sim_runs_total", "completed simulation runs",
                 labels).labels(result.policy).inc()
@@ -522,11 +595,7 @@ def _simulate_batched(
     barriers idle fast clients, which is exactly the trade-off the
     batched framework accepts.
     """
-    if isinstance(clients, int):
-        clients = [ClientSpec() for _ in range(clients)]
-    if not clients:
-        raise SimulationError("need at least one client")
-    work_fn = work if callable(work) else (lambda _v, _w=float(work): _w)
+    clients, work_fn = _clients_and_work(clients, work)
     rng = random.Random(seed)
 
     makespan = 0.0

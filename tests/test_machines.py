@@ -45,11 +45,13 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.heuristics import KeyedPolicy
+from repro.obs.observatory import FrameStore, set_global_frame_store
 from repro.sim.machines import (
     BspMachine,
     HeteroMachine,
     IdealMachine,
     MachineModel,
+    MachineReport,
     MemcapMachine,
 )
 
@@ -375,6 +377,69 @@ class TestPlacementHooks:
             assert res.completed == len(dag)
             assert {rec.client_id for rec in res.trace} == {0}
             assert res.makespan == pytest.approx(7.0)
+
+
+class TestCustomModels:
+    class Slow(MachineModel):
+        """Triples every task's work and leaves ``kind`` unset."""
+
+        def duration(self, task, cid, base):
+            return 3.0 * base
+
+    def test_kindless_model_is_threaded(self):
+        dag = butterfly_dag(3)
+        slow = self.Slow()
+        assert slow.kind == "ideal"
+        assert resolve_machine(slow) is slow
+        base = simulate(dag, make_policy("FIFO"), 4)
+        res = simulate(dag, make_policy("FIFO"), 4, machine=slow)
+        assert base.makespan == 8.0
+        assert res.makespan == 24.0
+        assert res.machine_report == MachineReport()
+
+    def test_kindless_model_is_threaded_under_faults(self):
+        dag = butterfly_dag(3)
+        base = simulate(dag, make_policy("FIFO"), 4, fault_plan=FaultPlan())
+        res = simulate(dag, make_policy("FIFO"), 4, fault_plan=FaultPlan(),
+                       machine=self.Slow())
+        assert res.makespan == 3 * base.makespan
+        assert res.machine_report is not None
+
+    def test_bare_model_reports_but_runs_ideal(self):
+        dag = butterfly_dag(3)
+        base = simulate(dag, make_policy("CRITPATH"), 4, seed=3)
+        res = simulate(dag, make_policy("CRITPATH"), 4, seed=3,
+                       machine=MachineModel())
+        assert res.makespan == base.makespan
+        assert res.headroom_series == base.headroom_series
+        assert res.machine_report == MachineReport()
+
+    def test_empty_dag_never_starves(self):
+        for machine in (None, "bsp", "memcap:cap=1"):
+            res = simulate(ComputationDag(), make_policy("FIFO"), 3,
+                           machine=machine)
+            assert (res.makespan, res.starvation_events) == (0.0, 0)
+
+
+class TestMachineFrames:
+    @pytest.fixture
+    def store(self, registry):
+        fresh = FrameStore()
+        old = set_global_frame_store(fresh)
+        fresh.enable()
+        yield fresh
+        set_global_frame_store(old)
+
+    def test_no_fault_machine_run_records_frames(self, store):
+        dag = butterfly_dag(3)
+        res = simulate(dag, make_policy("CRITPATH"), 4,
+                       machine="memcap:cap=2")
+        assert res.machine_report.kind == "memcap"
+        ch = store.get(dag.fingerprint())
+        assert ch is not None and ch.seq > 0
+        last = ch.latest()
+        assert last.done and len(last.executed) == len(dag)
+        assert all(task is None for task in last.occupancy)
 
 
 # ----------------------------------------------------------------------

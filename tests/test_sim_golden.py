@@ -1,8 +1,9 @@
 """Golden oracle for the machine-aware simulation engines.
 
-Every combination of three family dags, four machine models, four
-fault scenarios (``none`` runs the no-fault machine loop, the others
-the fault engine) and six allocation policies — plus a few runs with
+Every combination of three family dags, five machine models (the
+ideal machine among them), four fault scenarios (``none`` runs the
+no-fault event loop, the others the fault engine) and six allocation
+policies — plus a few runs with
 eager replicas — is simulated and its full result compared, field for
 field and bit for bit, against the committed fixture
 ``tests/fixtures/sim_golden.json``.  Any change to
@@ -31,7 +32,7 @@ from repro.sim import FaultPlan, ServerPolicy, make_policy, simulate
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "sim_golden.json"
 
 DAGS = (("butterfly", 4), ("mesh", 6), ("out-tree", 5))
-MACHINES = ("bsp:g=1,L=2", "memcap:cap=1", "memcap:cap=2",
+MACHINES = ("ideal", "bsp:g=1,L=2", "memcap:cap=1", "memcap:cap=2",
             "hetero:spread=0.5,seed=1")
 SCENARIOS = ("none", "churn", "stragglers", "blackout")
 #: extra fault-engine runs with eager replicas of critical tasks, the
@@ -62,7 +63,8 @@ def _run(dag, schedule, machine, scenario, policy) -> dict:
         "utilization": res.utilization,
         "completed": res.completed,
         "lost_allocations": res.lost_allocations,
-        "machine_report": dataclasses.asdict(res.machine_report),
+        "machine_report": (None if res.machine_report is None
+                           else dataclasses.asdict(res.machine_report)),
         "fault_report": (None if res.fault_report is None
                          else dataclasses.asdict(res.fault_report)),
     }
